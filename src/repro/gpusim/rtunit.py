@@ -224,3 +224,11 @@ class RtUnit:
             doc="Dispatch cycles lost waiting for a warp-buffer entry.",
             figure="Fig. 11",
         )
+        # Internal health, not a paper statistic: kept out of RtUnitStats
+        # (and so out of SimStats and its hashes).
+        scope.probe(
+            "pipe_gaps_peak",
+            lambda p=self._pipe: p.peak_gaps,
+            unit="gaps",
+            doc="High-water mark of the datapath lane's backfill gap count.",
+        )

@@ -26,7 +26,7 @@ from repro.compiler.assembler import (
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_PARALLEL
 from repro.datasets.registry import load_dataset, perturbed_queries
-from repro.search import KdTreeIndex
+from repro.search import KdTreeIndex, QuerySpec
 
 EVENT_PLANE_TEST = KdTreeIndex.EVENT_PLANE_TEST
 EVENT_LEAF_DIST = KdTreeIndex.EVENT_LEAF_DIST
@@ -73,7 +73,8 @@ def run_flann(
     position_of[index.point_indices] = np.arange(index.num_points)
 
     result = index.query_batch(
-        queries, k=k, max_checks=max_checks, record_events=True
+        queries, spec=QuerySpec(k=k, max_checks=max_checks),
+        record_events=True,
     )
     log = result.events
 

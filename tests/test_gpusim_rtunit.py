@@ -1,8 +1,15 @@
 """RT/HSU unit model: warp buffer, fetch coalescing, pipeline allocation."""
 
+import random
+
+import pytest
+
 from repro.core.isa import Opcode
+from repro.errors import TraceError
 from repro.gpusim.cache import Cache
 from repro.gpusim.config import VOLTA_V100
+from repro.gpusim.observability import MetricsRegistry
+from repro.gpusim.resource import PipelinedLane
 from repro.gpusim.rtunit import RtUnit
 from repro.gpusim.trace import KIND_HSU, WarpInstr
 
@@ -128,3 +135,182 @@ class TestPipelineAllocator:
         # Total pipeline work = 40 thread-beats; the last completion cannot
         # be earlier than fetch + work.
         assert max(times) >= 100 + 40
+
+
+class _ListLane:
+    """The linear-scan gap list :class:`PipelinedLane` replaced, kept as
+    the oracle: its start cycles and horizons define the lane's behaviour."""
+
+    _MAX_GAPS = 64
+
+    def __init__(self) -> None:
+        self._tail = 0
+        self._gaps: list[tuple[int, int]] = []
+        self._max_gap_len = 0
+
+    def allocate(self, ready: int, busy: int) -> int:
+        gaps = self._gaps
+        if gaps and busy <= self._max_gap_len and ready < self._tail:
+            longest = 0
+            fitted = False
+            for index, (gap_start, gap_end) in enumerate(gaps):
+                length = gap_end - gap_start
+                if length > longest:
+                    longest = length
+                if length < busy:
+                    continue
+                start = gap_start if gap_start >= ready else ready
+                if start + busy <= gap_end:
+                    fitted = True
+                    break
+            if fitted:
+                replacement = []
+                if start > gap_start:
+                    replacement.append((gap_start, start))
+                if start + busy < gap_end:
+                    replacement.append((start + busy, gap_end))
+                gaps[index : index + 1] = replacement
+                return start
+            self._max_gap_len = longest
+        start = max(self._tail, ready)
+        if start > self._tail:
+            gaps.append((self._tail, start))
+            if start - self._tail > self._max_gap_len:
+                self._max_gap_len = start - self._tail
+            if len(gaps) > self._MAX_GAPS:
+                gaps.pop(0)
+        self._tail = start + busy
+        return start
+
+    def next_event_cycle(self) -> int:
+        if self._gaps:
+            return self._gaps[0][0]
+        return self._tail
+
+
+class _SmallBlockLane(PipelinedLane):
+    """Two-gap blocks, so block splits and index rebuilds run constantly."""
+
+    __slots__ = ()
+    _BLOCK = 2
+
+
+def _next_request(rng: random.Random, oracle: _ListLane) -> tuple[str, int, int]:
+    """One ``(kind, ready, busy)`` request aimed at the oracle's state."""
+    gaps, tail = oracle._gaps, oracle._tail
+    roll = rng.random()
+    if not gaps or roll < 0.25:
+        # At or past the tail: appends a gap, evicting past the cap.
+        return "tail", tail + rng.randint(0, 200), rng.randint(1, 12)
+    start, end = rng.choice(gaps)
+    length = end - start
+    if roll < 0.35:
+        return "exact", start, length  # zero remainders
+    if roll < 0.45 and length > 1:
+        return "head", start, rng.randint(1, length - 1)  # right remainder
+    if roll < 0.55 and length > 1:
+        busy = rng.randint(1, length - 1)
+        return "rear", end - busy, busy  # left remainder
+    if roll < 0.80 and length > 2:
+        ready = rng.randint(start + 1, end - 2)
+        return "inside", ready, rng.randint(1, min(8, end - ready - 1))  # two
+    if roll < 0.88:
+        # Before every gap, with any size.
+        return "early", rng.randint(0, gaps[0][0]), rng.randint(1, 30)
+    if roll < 0.94:
+        longest = max(e - s for s, e in gaps)
+        return "oversize", rng.randint(0, tail), longest + rng.randint(1, 5)
+    return "random", rng.randint(0, tail), rng.randint(1, 30)
+
+
+class TestLaneFirstFit:
+    """The lane against the list oracle on seeded request streams."""
+
+    @pytest.mark.parametrize("lane_type", [PipelinedLane, _SmallBlockLane])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_list_oracle(self, lane_type, seed):
+        rng = random.Random(seed)
+        oracle, lane = _ListLane(), lane_type()
+        outcomes = set()
+        evictions = 0
+
+        def step_both(ready, busy):
+            expected = oracle.allocate(ready, busy)
+            assert lane.allocate(ready, busy) == expected, (ready, busy)
+            assert lane.next_event_cycle() == oracle.next_event_cycle()
+            assert lane.gap_count == len(oracle._gaps)
+
+        for step in range(4000):
+            if step % 2000 == 1999:
+                # Fill every gap exactly, so the lane empties and refills.
+                for start, end in list(oracle._gaps):
+                    step_both(start, end - start)
+                assert lane.gap_count == 0
+            kind, ready, busy = _next_request(rng, oracle)
+            before = len(oracle._gaps)
+            first = oracle._gaps[0] if oracle._gaps else None
+            step_both(ready, busy)
+            if step % 25 == 0:
+                assert lane.gaps() == oracle._gaps
+            if kind == "tail" and before >= lane._MAX_GAPS:
+                evictions += first not in oracle._gaps
+            outcomes.add((kind, len(oracle._gaps) - before))
+        assert lane.gaps() == oracle._gaps
+        # Every situation the stream aims at actually arose.
+        for outcome in [
+            ("exact", -1), ("head", 0), ("rear", 0), ("inside", 1),
+            ("tail", 1), ("oversize", 0), ("early", 0),
+        ]:
+            assert outcome in outcomes, outcome
+        assert lane.peak_gaps > 200
+        assert evictions > 20
+
+    def test_rejects_empty_allocation(self):
+        with pytest.raises(TraceError):
+            PipelinedLane().allocate(0, 0)
+
+
+def _fill_to_cap(lane: PipelinedLane) -> None:
+    """Append gaps ``[4i, 4i+3)`` (one-cycle entries) up to the cap."""
+    for _ in range(lane._MAX_GAPS):
+        lane.allocate(lane.tail + 3, 1)
+
+
+class TestGapBound:
+    """The bound the docstrings state: cap on append only."""
+
+    def test_splits_grow_past_the_cap(self):
+        lane = PipelinedLane()
+        _fill_to_cap(lane)
+        assert lane.gap_count == lane._MAX_GAPS
+        # A one-cycle entry in the middle of a three-cycle gap splits it.
+        for start, _end in lane.gaps()[:10]:
+            assert lane.allocate(start + 1, 1) == start + 1
+        assert lane.gap_count == lane._MAX_GAPS + 10
+        assert lane.peak_gaps == lane._MAX_GAPS + 10
+
+    def test_overflowing_append_evicts_the_lowest_start_gap(self):
+        lane = PipelinedLane()
+        _fill_to_cap(lane)
+        for start, _end in lane.gaps()[:5]:
+            lane.allocate(start + 1, 1)
+        held = lane.gaps()
+        tail = lane.tail
+        assert lane.allocate(tail + 7, 2) == tail + 7
+        assert lane.gaps() == held[1:] + [(tail, tail + 7)]
+        assert lane.next_event_cycle() == held[1][0]
+        assert lane.peak_gaps == len(held)
+
+
+class TestGapGauge:
+    def test_probe_reports_the_lane_high_water_mark(self):
+        unit, _ = make_unit(next_latency=300)
+        registry = MetricsRegistry()
+        unit.register_metrics(registry.scope("sm0").scope("rt"))
+        assert registry.value("sm0/rt/pipe_gaps_peak") == 0
+        # Misses issued 50 cycles apart each start past the lane's tail,
+        # leaving an idle gap behind them.
+        for i in range(6):
+            unit.execute(hsu_instr(active=2, base=0x100000 * (i + 1)), i * 50)
+        peak = registry.value("sm0/rt/pipe_gaps_peak")
+        assert peak == unit._pipe.peak_gaps == 6

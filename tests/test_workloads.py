@@ -1,5 +1,7 @@
 """Workload runs: real algorithm execution + trace generation."""
 
+import warnings
+
 import pytest
 
 from repro.gpusim import VOLTA_V100, simulate
@@ -148,3 +150,17 @@ class TestPairedSpeedup:
                 for i in w.instructions
             )
             assert hsu_slots < base_slots, maker.__name__
+
+
+class TestNoDeprecatedCalls:
+    @pytest.mark.parametrize(
+        "maker, abbr, queries",
+        [(run_ggnn, "S10K", 4), (run_flann, "R10K", 32)],
+    )
+    def test_workloads_query_through_a_spec(self, maker, abbr, queries):
+        """Our own workloads must not trip the ``k=``/``ef=``/
+        ``max_checks=`` deprecation shim of ``query_batch``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run = maker(abbr, num_queries=queries)
+        assert len(run.warp_ops) > 0
