@@ -8,12 +8,19 @@ then connects each point to its ``m`` closest neighbors per layer (with
 
 Distances use float32 numpy batch kernels for build speed; the *search* path
 (:mod:`repro.graph.search`) is the instrumented one the trace compiler uses.
+Both go through one :class:`GraphDistances` per graph: the kernel is
+resolved from :mod:`repro.kernels` once per build (once per search call on
+the search side) and angular row norms are computed once per graph.  For
+the row-exact metrics (euclid, l1, linf) the build keeps each adjacency
+list's distances beside it, so back-link pruning needs no kernel call.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +37,57 @@ METRIC_ANGULAR = "angular"
 #: adapter folds the alias, since both mean ``1 - cos(theta)``).
 GRAPH_METRICS = (METRIC_EUCLID, METRIC_ANGULAR, METRIC_L1, METRIC_LINF)
 
+#: Metrics whose kernels reduce every candidate row on its own, so a
+#: pair's distance has one bit pattern whatever call computes it:
+#: ``(a-b)^2 == (b-a)^2`` and ``|a-b| == |b-a|`` in IEEE arithmetic, and
+#: each row's float32 reduction does not depend on the other rows.
+#: Angular is not among them (see :func:`batch_distances`).
+ROW_EXACT_METRICS = (METRIC_EUCLID, METRIC_L1, METRIC_LINF)
+
+#: Build counters :func:`build_hnsw` records in ``HnswGraph.build_counters``.
+BUILD_COUNTERS = ("build_kernel_calls", "build_prunes", "build_prunes_reused")
+
+#: ``dist(query, query_norm, ids)``: float32 distances from ``query`` to
+#: ``points[ids]`` (``ids`` a list, index array or slice); ``query_norm``
+#: is :meth:`GraphDistances.query_norm` of the query (``None`` unless angular).
+DistanceFn = Callable[[np.ndarray, object, object], np.ndarray]
+
+
+def _query_norm(query: np.ndarray) -> np.float32:
+    """The angular query norm: float32 squares summed in float64."""
+    return np.float32(math.sqrt(float(np.sum(query * query, dtype=np.float64))))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The angular candidate norms: per-row float32 sums of squares."""
+    return np.sqrt(np.sum(rows * rows, axis=1, dtype=np.float32))
+
+
+def _angular(dot: np.ndarray, norms: np.ndarray, q_norm) -> np.ndarray:
+    """``1 - dot / (norms * q_norm)``, zero denominators read as 1.
+
+    Overwrites ``dot``; every step is elementwise and correctly rounded,
+    so doing it in place cannot move a bit.
+    """
+    denom = norms * q_norm
+    if not denom.all():
+        denom[denom == 0.0] = np.float32(1.0)
+    np.divide(dot, denom, out=dot)
+    return np.subtract(np.float32(1.0), dot, out=dot)
+
+
+def _row_kernel(backend, metric: str, width: int):
+    """``kernel(block, query)`` for a row-exact metric on ``backend``."""
+    if metric == METRIC_EUCLID:
+        return backend.sq_l2_f32
+    if metric == METRIC_L1:
+        l1 = backend.l1_beats
+        return lambda block, q: l1(q, block, width)
+    if metric == METRIC_LINF:
+        linf = backend.linf_beats
+        return lambda block, q: linf(q, block, width)
+    raise BuildError(f"unknown metric {metric!r}")
+
 
 def batch_distances(
     query: np.ndarray, candidates: np.ndarray, metric: str
@@ -41,25 +99,71 @@ def batch_distances(
     ``POINT_ANGULAR``'s dot/norm sums); ``l1``/``linf`` return the
     Manhattan/Chebyshev distances through the Arkade refine kernels
     (single-beat, so the whole row reduces in one float32 pass).
+
+    This is the one-shot form; graph build and search bind the same
+    kernels once through :class:`GraphDistances`.
+
+    Angular distances are not row-exact: the dot products come from a
+    BLAS matrix-vector product, whose bits for one row depend on the
+    call's shape and the row's position in it.  Measured with
+    scipy-openblas 0.3.31 (Haswell kernels), a row's bits changed with its
+    position in 2,309 of 3,000 random batches, and a 1-row call differed
+    from the same row inside a batch in 2,870 of 3,000.  Angular graphs
+    are therefore tied to the BLAS kernel, and callers that must agree
+    bit for bit keep every angular call's shape and row order.
     """
     q = query.astype(np.float32, copy=False)
     c = candidates.astype(np.float32, copy=False)
-    if metric == METRIC_EUCLID:
-        return get_backend().sq_l2_f32(c, q)
     if metric == METRIC_ANGULAR:
-        dot = c @ q
-        norms = np.sqrt(np.sum(c * c, axis=1, dtype=np.float32))
-        q_norm = np.float32(math.sqrt(float(np.sum(q * q, dtype=np.float64))))
-        denom = norms * q_norm
-        denom[denom == 0.0] = np.float32(1.0)
-        return np.float32(1.0) - dot / denom
-    if metric in (METRIC_L1, METRIC_LINF):
-        block = np.ascontiguousarray(c)
-        width = block.shape[1]
-        if metric == METRIC_L1:
-            return get_backend().l1_beats(q, block, width)
-        return get_backend().linf_beats(q, block, width)
-    raise BuildError(f"unknown metric {metric!r}")
+        return _angular(c @ q, _row_norms(c), _query_norm(q))
+    kernel = _row_kernel(get_backend(), metric, c.shape[1])
+    if metric == METRIC_EUCLID:
+        return kernel(c, q)
+    return kernel(np.ascontiguousarray(c), q)
+
+
+class GraphDistances:
+    """Distance helper shared by every build and search call on one graph.
+
+    Holds what does not change between calls: the points, the metric and,
+    for angular, the row norms of every point.  :meth:`bind` turns it into
+    a :data:`DistanceFn` over one kernel backend, computing exactly what
+    :func:`batch_distances` computes for ``points[ids]``.
+    """
+
+    def __init__(self, points: np.ndarray, metric: str) -> None:
+        if metric not in GRAPH_METRICS:
+            raise BuildError(f"unknown metric {metric!r}")
+        self.points = points
+        self.metric = metric
+        self.norms = _row_norms(points) if metric == METRIC_ANGULAR else None
+
+    @property
+    def row_exact(self) -> bool:
+        return self.metric in ROW_EXACT_METRICS
+
+    def query_norm(self, query: np.ndarray):
+        """What the bound function wants as ``query_norm`` for ``query``."""
+        return _query_norm(query) if self.metric == METRIC_ANGULAR else None
+
+    def bind(self, backend) -> DistanceFn:
+        points = self.points
+        if self.metric == METRIC_ANGULAR:
+            norms = self.norms
+
+            def angular(q, q_norm, ids):
+                if ids.__class__ is list:
+                    # One index conversion shared by both gathers.
+                    ids = np.array(ids, dtype=np.intp)
+                return _angular(points[ids] @ q, norms[ids], q_norm)
+
+            return angular
+        kernel = _row_kernel(backend, self.metric, points.shape[1])
+
+        def row_exact(q, _q_norm, ids):
+            return kernel(points[ids], q)
+
+        return row_exact
 
 
 @dataclass
@@ -68,7 +172,8 @@ class HnswGraph:
 
     ``layers[l]`` maps node id -> neighbor id list for layer ``l`` (layer 0
     holds every point; higher layers are sparser).  ``entry_point`` is the
-    node the search starts from, on ``top_layer``.
+    node the search starts from, on ``top_layer``.  ``build_counters``
+    records how the build computed its distances (see :func:`build_hnsw`).
     """
 
     points: np.ndarray
@@ -79,6 +184,10 @@ class HnswGraph:
         default_factory=lambda: np.empty(0, np.int32)
     )
     entry_point: int = 0
+    build_counters: dict[str, int] = field(default_factory=dict)
+    _distances: GraphDistances | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_points(self) -> int:
@@ -95,17 +204,33 @@ class HnswGraph:
     def neighbors(self, layer: int, node: int) -> list[int]:
         return self.layers[layer].get(node, [])
 
+    def distances(self) -> GraphDistances:
+        """This graph's distance helper (angular norms computed once)."""
+        if self._distances is None:
+            self._distances = GraphDistances(self.points, self.metric)
+        return self._distances
+
+    def degree_cap(self, layer: int) -> int:
+        """Out-degree bound: ``2*m`` on layer 0, ``m`` above it."""
+        return 2 * self.m if layer == 0 else self.m
+
     def validate(self) -> None:
-        """Check layer nesting and symmetry-ish invariants."""
+        """Check layer nesting, edge closure and the degree caps."""
         if not self.layers:
             raise BuildError("graph has no layers")
         if len(self.layers[0]) != self.num_points:
             raise BuildError("layer 0 must contain every point")
         for layer_index, layer in enumerate(self.layers):
+            cap = self.degree_cap(layer_index)
             for node, nbrs in layer.items():
                 if self.node_max_layer[node] < layer_index:
                     raise BuildError(
                         f"node {node} appears above its max layer"
+                    )
+                if len(nbrs) > cap:
+                    raise BuildError(
+                        f"node {node} has {len(nbrs)} neighbors on layer "
+                        f"{layer_index}, above the cap of {cap}"
                     )
                 for nbr in nbrs:
                     if nbr == node:
@@ -117,37 +242,43 @@ class HnswGraph:
 
 
 def _search_layer(
-    graph: HnswGraph,
+    adjacency: dict[int, list[int]],
+    dist: DistanceFn,
     query: np.ndarray,
+    q_norm,
     entry: int,
     entry_dist: float,
-    layer: int,
     ef: int,
-) -> list[tuple[float, int]]:
-    """Beam search on one layer; returns (dist, node) ascending, length<=ef."""
-    import heapq
+) -> tuple[list[tuple[float, int]], int]:
+    """Beam search on one layer.
 
+    Returns the (dist, node) pairs ascending, length<=ef, and the number
+    of kernel calls made.
+    """
+    heappush, heappop, heapreplace = (
+        heapq.heappush, heapq.heappop, heapq.heapreplace
+    )
     visited = {entry}
     frontier = [(entry_dist, entry)]  # min-heap
     best = [(-entry_dist, entry)]  # max-heap
+    calls = 0
     while frontier:
-        dist, node = heapq.heappop(frontier)
-        if dist > -best[0][0] and len(best) >= ef:
+        d, node = heappop(frontier)
+        if d > -best[0][0] and len(best) >= ef:
             break
-        nbrs = [n for n in graph.neighbors(layer, node) if n not in visited]
+        nbrs = [n for n in adjacency.get(node, ()) if n not in visited]
         if not nbrs:
             continue
         visited.update(nbrs)
-        dists = batch_distances(query, graph.points[nbrs], graph.metric)
-        for nbr_dist, nbr in zip(dists, nbrs):
-            nbr_dist = float(nbr_dist)
+        calls += 1
+        for nbr_dist, nbr in zip(dist(query, q_norm, nbrs).tolist(), nbrs):
             if len(best) < ef:
-                heapq.heappush(best, (-nbr_dist, nbr))
-                heapq.heappush(frontier, (nbr_dist, nbr))
+                heappush(best, (-nbr_dist, nbr))
+                heappush(frontier, (nbr_dist, nbr))
             elif nbr_dist < -best[0][0]:
-                heapq.heapreplace(best, (-nbr_dist, nbr))
-                heapq.heappush(frontier, (nbr_dist, nbr))
-    return sorted((-negd, node) for negd, node in best)
+                heapreplace(best, (-nbr_dist, nbr))
+                heappush(frontier, (nbr_dist, nbr))
+    return sorted((-negd, node) for negd, node in best), calls
 
 
 def build_hnsw(
@@ -161,6 +292,15 @@ def build_hnsw(
 
     ``m`` is the target out-degree per layer (layer 0 allows ``2*m``);
     ``ef_construction`` the build-time beam width.
+
+    The distance kernel is resolved once, from the active backend.  For
+    row-exact metrics every adjacency list keeps its edges' distances
+    beside it: a chosen neighbor's from the beam search, a back-link's
+    as ``d(node, nbr)``.  Pruning the farthest back-link is then an
+    argmax over stored values, equal bit for bit to recomputing them.
+    Angular prunes recompute, with the same shape and row order as ever.
+    ``build_counters`` reports ``build_kernel_calls``, ``build_prunes``
+    and ``build_prunes_reused`` (prunes answered from stored distances).
     """
     points = np.ascontiguousarray(points, dtype=np.float32)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -169,6 +309,9 @@ def build_hnsw(
         raise BuildError(f"m must be >= 2, got {m}")
     if ef_construction < m:
         raise BuildError("ef_construction must be >= m")
+    if not np.isfinite(points).all():
+        raise BuildError("points must be finite")
+    helper = GraphDistances(points, metric)
 
     count = points.shape[0]
     rng = np.random.default_rng(seed)
@@ -186,46 +329,74 @@ def build_hnsw(
         layers=[{} for _ in range(int(node_levels.max()) + 1)],
         node_max_layer=node_levels,
     )
-
-    def degree_cap(layer: int) -> int:
-        return 2 * m if layer == 0 else m
+    graph._distances = helper
+    layers = graph.layers
+    dist = helper.bind(get_backend())
+    reuse = helper.row_exact
+    # Distances parallel to each adjacency list (row-exact metrics), or
+    # each inserted node's query norm for its angular prunes.
+    edge_dists: list[dict[int, list[float]]] = [{} for _ in layers]
+    q_norms = np.zeros(count, np.float32)
+    calls = prunes = 0
 
     def connect(layer: int, node: int, candidates: list[tuple[float, int]]) -> None:
-        chosen = [nbr for _dist, nbr in candidates[: degree_cap(layer)]]
-        graph.layers[layer][node] = chosen
-        for nbr in chosen:
-            back = graph.layers[layer].setdefault(nbr, [])
-            if node not in back:
-                back.append(node)
-                if len(back) > degree_cap(layer):
-                    # Prune the farthest back-link.
-                    dists = batch_distances(
-                        points[nbr], points[back], metric
-                    )
-                    worst = int(np.argmax(dists))
-                    back.pop(worst)
+        nonlocal calls, prunes
+        cap = graph.degree_cap(layer)
+        adjacency = layers[layer]
+        chosen = candidates[:cap]
+        adjacency[node] = [nbr for _dist, nbr in chosen]
+        if reuse:
+            layer_dists = edge_dists[layer]
+            layer_dists[node] = [d for d, _nbr in chosen]
+        for d, nbr in chosen:
+            back = adjacency.setdefault(nbr, [])
+            if node in back:
+                continue
+            back.append(node)
+            if reuse:
+                back_d = layer_dists.setdefault(nbr, [])
+                back_d.append(d)
+            if len(back) > cap:
+                # Prune the farthest back-link (first index on ties).
+                prunes += 1
+                if reuse:
+                    worst = back_d.index(max(back_d))
+                    back_d.pop(worst)
+                else:
+                    calls += 1
+                    worst = int(np.argmax(dist(points[nbr], q_norms[nbr], back)))
+                back.pop(worst)
 
     # First point seeds every one of its layers.
     first_level = int(node_levels[0])
     graph.entry_point = 0
     for layer in range(first_level + 1):
-        graph.layers[layer][0] = []
+        layers[layer][0] = []
+        edge_dists[layer][0] = []
     entry_level = first_level
+    if not reuse:
+        q_norms[0] = helper.query_norm(points[0])
 
     for node in range(1, count):
         query = points[node]
+        q_norm = helper.query_norm(query)
+        if not reuse:
+            q_norms[node] = q_norm
         level = int(node_levels[node])
         entry = graph.entry_point
-        entry_dist = float(batch_distances(query, points[entry : entry + 1], metric)[0])
+        entry_dist = float(dist(query, q_norm, slice(entry, entry + 1))[0])
+        calls += 1
         # Greedy descent through layers above the node's level.
         for layer in range(entry_level, level, -1):
+            adjacency = layers[layer]
             improved = True
             while improved:
                 improved = False
-                nbrs = graph.neighbors(layer, entry)
+                nbrs = adjacency.get(entry, [])
                 if not nbrs:
                     break
-                dists = batch_distances(query, points[nbrs], metric)
+                dists = dist(query, q_norm, nbrs)
+                calls += 1
                 best = int(np.argmin(dists))
                 if float(dists[best]) < entry_dist:
                     entry_dist = float(dists[best])
@@ -233,14 +404,20 @@ def build_hnsw(
                     improved = True
         # Beam-search and connect on layers min(level, entry_level)..0.
         for layer in range(min(level, entry_level), -1, -1):
-            candidates = _search_layer(
-                graph, query, entry, entry_dist, layer, ef_construction
+            candidates, layer_calls = _search_layer(
+                layers[layer], dist, query, q_norm, entry, entry_dist,
+                ef_construction,
             )
+            calls += layer_calls
             connect(layer, node, candidates)
             entry_dist, entry = candidates[0]
         if level > entry_level:
             for layer in range(entry_level + 1, level + 1):
-                graph.layers[layer][node] = []
+                layers[layer][node] = []
+                edge_dists[layer][node] = []
             graph.entry_point = node
             entry_level = level
+    graph.build_counters = dict(
+        zip(BUILD_COUNTERS, (calls, prunes, prunes if reuse else 0))
+    )
     return graph

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.hnsw import METRIC_EUCLID, HnswGraph, batch_distances
+from repro.graph.hnsw import METRIC_EUCLID, HnswGraph
 from repro.graph.priority_cache import PriorityCache
 from repro.kernels import get_backend
 from repro.search.events import BatchResult, EventLog
@@ -71,12 +71,13 @@ def search(
     """
     stats = stats if stats is not None else GraphSearchStats()
     query = np.asarray(query, dtype=np.float32)
+    helper = graph.distances()
+    dist = helper.bind(get_backend())
+    q_norm = helper.query_norm(query)
 
     entry = graph.entry_point
     stats.dist(entry, graph.dim)
-    entry_dist = float(
-        batch_distances(query, graph.points[entry : entry + 1], graph.metric)[0]
-    )
+    entry_dist = float(dist(query, q_norm, slice(entry, entry + 1))[0])
 
     # Greedy descent on the sparse upper layers.
     for layer in range(graph.top_layer, 0, -1):
@@ -86,7 +87,7 @@ def search(
             nbrs = graph.neighbors(layer, entry)
             if not nbrs:
                 break
-            dists = batch_distances(query, graph.points[nbrs], graph.metric)
+            dists = dist(query, q_norm, nbrs)
             for node_id in nbrs:
                 stats.dist(node_id, graph.dim)
             best = int(np.argmin(dists))
@@ -113,7 +114,7 @@ def search(
         stats.queue(len(adjacency))  # visited-filter checks
         if not nbrs:
             continue
-        dists = batch_distances(query, graph.points[nbrs], graph.metric)
+        dists = dist(query, q_norm, nbrs)
         for nbr, nbr_dist in zip(nbrs, dists):
             stats.dist(nbr, graph.dim)
             cache.push(float(nbr_dist), nbr)
@@ -124,7 +125,7 @@ def search(
 def _query_plan(graph: HnswGraph, k: int, ef: int,
                 stats: GraphSearchStats, events: list | None):
     """One query's search as a coroutine: :func:`search` verbatim, except
-    every ``batch_distances`` call becomes ``dists = yield nbrs`` so the
+    every distance call becomes ``dists = yield nbrs`` so the
     lockstep driver can answer many queries' requests with one merged
     kernel.  Yields candidate id lists; receives their distance rows;
     returns the final neighbor list.
@@ -202,10 +203,11 @@ def search_batch(
     Lockstep beam search: each round gathers every active query's pending
     candidate list and (for the Euclidean metric) answers them all with
     one merged row-wise kernel over the concatenated pools — exact,
-    because the batch kernel's reductions are row-independent.  Angular
-    queries keep one kernel call per query (the matmul's reduction order
-    is query-shaped).  Per query, neighbors, events and stats counters are
-    bit-identical to the scalar search.
+    because the batch kernel's reductions are row-independent.  The other
+    metrics keep one kernel call per request, shaped as the scalar search
+    shapes it (the angular matmul's bits depend on the call's shape),
+    with angular norms from the graph's cache.  Per query, neighbors,
+    events and stats counters are bit-identical to the scalar search.
     """
     stats = stats if stats is not None else GraphSearchStats()
     queries32 = np.asarray(queries, dtype=np.float32)
@@ -232,6 +234,10 @@ def search_batch(
             results[i] = stop.value
 
     euclid = graph.metric == METRIC_EUCLID
+    if not euclid:
+        helper = graph.distances()
+        dist = helper.bind(get_backend())
+        q_norms = [helper.query_norm(q) for q in queries32]
     while requests:
         if euclid:
             counts = np.fromiter(
@@ -256,9 +262,7 @@ def search_batch(
             ]
         else:
             chunks = [
-                batch_distances(queries32[i], graph.points[nbrs],
-                                graph.metric)
-                for i, nbrs in requests
+                dist(queries32[i], q_norms[i], nbrs) for i, nbrs in requests
             ]
         next_requests: list[tuple[int, list[int]]] = []
         for (i, _nbrs), dists in zip(requests, chunks):

@@ -2,8 +2,8 @@
 
 The graph substrate computes metric distances directly (no space
 transform needed): ``euclid`` and ``angular`` are the original pair,
-``l1``/``linf`` ride the Arkade refine kernels through
-:func:`repro.graph.hnsw.batch_distances`, and ``cosine`` is accepted as
+``l1``/``linf`` ride the Arkade refine kernels through the graph's
+:class:`repro.graph.hnsw.GraphDistances`, and ``cosine`` is accepted as
 an alias of ``angular`` (both mean ``1 - cos(theta)``) so the adapter
 matches the metric vocabulary of the other substrates.
 """
@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BuildError, ConfigError
-from repro.graph.hnsw import GRAPH_METRICS, METRIC_ANGULAR, METRIC_EUCLID, build_hnsw
+from repro.graph.hnsw import (
+    BUILD_COUNTERS,
+    GRAPH_METRICS,
+    METRIC_ANGULAR,
+    METRIC_EUCLID,
+    build_hnsw,
+)
 from repro.graph.search import (
     EVENT_DIST,
     EVENT_QUEUE,
@@ -124,6 +130,9 @@ class HnswIndex:
         return result
 
     def stats(self) -> dict[str, object]:
+        """Shape and counters; the ``build_*`` counters say how the build
+        computed its distances (zero before :meth:`build`)."""
+        built = self._graph.build_counters if self._graph is not None else {}
         return {
             "structure": "hnsw",
             "m": self.m,
@@ -133,6 +142,7 @@ class HnswIndex:
             "queries": self._queries,
             "dist_tests": self._dist_tests,
             "nodes_expanded": self._nodes_expanded,
+            **{name: built.get(name, 0) for name in BUILD_COUNTERS},
         }
 
     # -- layout hooks -----------------------------------------------------

@@ -46,7 +46,7 @@ from repro.compiler.ops import (
     TShared,
     TTri,
 )
-from repro.search import BvhRadiusIndex, HnswIndex, KdTreeIndex
+from repro.search import BvhRadiusIndex, HnswIndex, KdTreeIndex, QuerySpec
 
 
 @pytest.fixture(
@@ -210,8 +210,9 @@ class TestHnswBatch:
         index = HnswIndex(m=6, ef_construction=24, metric=metric,
                           seed=3).build(points)
         queries = rng.random((16, 12)).astype(np.float32)
-        batch = index.query_batch(queries, k=5, ef=16, record_events=True)
-        _assert_matches(index, queries, batch, k=5, ef=16)
+        spec = QuerySpec(k=5, ef=16)
+        batch = index.query_batch(queries, spec=spec, record_events=True)
+        _assert_matches(index, queries, batch, spec=spec)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(12)
@@ -226,8 +227,9 @@ class TestHnswBatch:
         points = rng.random((120, 8)).astype(np.float32)
         index = HnswIndex(m=5, ef_construction=16, seed=2).build(points)
         q64 = rng.random((8, 8))
-        batch = index.query_batch(q64, k=4, ef=12, record_events=True)
-        _assert_matches(index, q64, batch, k=4, ef=12)
+        spec = QuerySpec(k=4, ef=12)
+        batch = index.query_batch(q64, spec=spec, record_events=True)
+        _assert_matches(index, q64, batch, spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,26 @@
 """HNSW graph build, GGNN-style search, and the priority cache."""
 
+import heapq
+import math
+
 import numpy as np
 import pytest
 
 from repro.ann import brute_force_knn, recall_at_k
+from repro.datasets import load_dataset
 from repro.errors import BuildError
-from repro.graph import PriorityCache, build_hnsw, search
-from repro.graph.hnsw import METRIC_ANGULAR, METRIC_EUCLID, batch_distances
+from repro.graph import HnswGraph, PriorityCache, build_hnsw, search
+from repro.graph.hnsw import (
+    GRAPH_METRICS,
+    METRIC_ANGULAR,
+    METRIC_EUCLID,
+    ROW_EXACT_METRICS,
+    batch_distances,
+)
 from repro.graph.search import GraphSearchStats
+from repro.kernels import get_backend
+from repro.metrics.transforms import METRIC_L1, METRIC_LINF
+from repro.search import HnswIndex
 
 
 def random_points(n, dim, seed=0):
@@ -114,7 +127,280 @@ class TestBuild:
     def test_deterministic(self):
         a = build_hnsw(random_points(100, 4), m=4, ef_construction=8, seed=3)
         b = build_hnsw(random_points(100, 4), m=4, ef_construction=8, seed=3)
-        assert a.layers[0] == b.layers[0]
+        _assert_same_graph(a, b)
+
+    @pytest.mark.parametrize("layer_index,cap", [(0, 8), (1, 4)])
+    def test_validate_rejects_degree_overflow(self, layer_index, cap):
+        graph = build_hnsw(random_points(400, 6), m=4, ef_construction=16)
+        layer = graph.layers[layer_index]
+        node = next(iter(layer))
+        others = [n for n in layer if n != node]
+        layer[node] = others[:cap]
+        graph.validate()  # at the cap is fine
+        layer[node] = others[: cap + 1]
+        with pytest.raises(BuildError, match=f"cap of {cap}"):
+            graph.validate()
+
+    def test_non_finite_points_rejected(self):
+        points = random_points(20, 4)
+        points[3, 1] = np.nan
+        with pytest.raises(BuildError, match="finite"):
+            build_hnsw(points, m=4, ef_construction=8)
+
+
+# ---------------------------------------------------------------------------
+# Frozen oracle: the build as it was before distances were resolved once
+# per graph and row-exact prunes read stored distances.  The current build
+# must reproduce its graphs bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_batch_distances(query, candidates, metric, calls):
+    calls[0] += 1
+    q = query.astype(np.float32, copy=False)
+    c = candidates.astype(np.float32, copy=False)
+    if metric == METRIC_EUCLID:
+        return get_backend().sq_l2_f32(c, q)
+    if metric == METRIC_ANGULAR:
+        dot = c @ q
+        norms = np.sqrt(np.sum(c * c, axis=1, dtype=np.float32))
+        q_norm = np.float32(math.sqrt(float(np.sum(q * q, dtype=np.float64))))
+        denom = norms * q_norm
+        denom[denom == 0.0] = np.float32(1.0)
+        return np.float32(1.0) - dot / denom
+    if metric in (METRIC_L1, METRIC_LINF):
+        block = np.ascontiguousarray(c)
+        width = block.shape[1]
+        if metric == METRIC_L1:
+            return get_backend().l1_beats(q, block, width)
+        return get_backend().linf_beats(q, block, width)
+    raise BuildError(f"unknown metric {metric!r}")
+
+
+def _reference_search_layer(graph, query, entry, entry_dist, layer, ef, calls):
+    visited = {entry}
+    frontier = [(entry_dist, entry)]
+    best = [(-entry_dist, entry)]
+    while frontier:
+        dist, node = heapq.heappop(frontier)
+        if dist > -best[0][0] and len(best) >= ef:
+            break
+        nbrs = [n for n in graph.neighbors(layer, node) if n not in visited]
+        if not nbrs:
+            continue
+        visited.update(nbrs)
+        dists = _reference_batch_distances(
+            query, graph.points[nbrs], graph.metric, calls
+        )
+        for nbr_dist, nbr in zip(dists, nbrs):
+            nbr_dist = float(nbr_dist)
+            if len(best) < ef:
+                heapq.heappush(best, (-nbr_dist, nbr))
+                heapq.heappush(frontier, (nbr_dist, nbr))
+            elif nbr_dist < -best[0][0]:
+                heapq.heapreplace(best, (-nbr_dist, nbr))
+                heapq.heappush(frontier, (nbr_dist, nbr))
+    return sorted((-negd, node) for negd, node in best)
+
+
+def _reference_build_hnsw(points, m, ef_construction, metric, seed):
+    """Returns ``(graph, kernel calls)``."""
+    calls = [0]
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    count = points.shape[0]
+    rng = np.random.default_rng(seed)
+    level_scale = 1.0 / math.log(m)
+    max_layers = max(1, int(math.log(max(count, 2)) * level_scale) + 1)
+    node_levels = np.minimum(
+        (-np.log(rng.uniform(size=count) + 1e-12) * level_scale).astype(np.int32),
+        max_layers - 1,
+    )
+    graph = HnswGraph(
+        points=points,
+        metric=metric,
+        m=m,
+        layers=[{} for _ in range(int(node_levels.max()) + 1)],
+        node_max_layer=node_levels,
+    )
+
+    def degree_cap(layer):
+        return 2 * m if layer == 0 else m
+
+    def connect(layer, node, candidates):
+        chosen = [nbr for _dist, nbr in candidates[: degree_cap(layer)]]
+        graph.layers[layer][node] = chosen
+        for nbr in chosen:
+            back = graph.layers[layer].setdefault(nbr, [])
+            if node not in back:
+                back.append(node)
+                if len(back) > degree_cap(layer):
+                    dists = _reference_batch_distances(
+                        points[nbr], points[back], metric, calls
+                    )
+                    back.pop(int(np.argmax(dists)))
+
+    first_level = int(node_levels[0])
+    graph.entry_point = 0
+    for layer in range(first_level + 1):
+        graph.layers[layer][0] = []
+    entry_level = first_level
+    for node in range(1, count):
+        query = points[node]
+        level = int(node_levels[node])
+        entry = graph.entry_point
+        entry_dist = float(_reference_batch_distances(
+            query, points[entry : entry + 1], metric, calls
+        )[0])
+        for layer in range(entry_level, level, -1):
+            improved = True
+            while improved:
+                improved = False
+                nbrs = graph.neighbors(layer, entry)
+                if not nbrs:
+                    break
+                dists = _reference_batch_distances(
+                    query, points[nbrs], metric, calls
+                )
+                best = int(np.argmin(dists))
+                if float(dists[best]) < entry_dist:
+                    entry_dist = float(dists[best])
+                    entry = nbrs[best]
+                    improved = True
+        for layer in range(min(level, entry_level), -1, -1):
+            candidates = _reference_search_layer(
+                graph, query, entry, entry_dist, layer, ef_construction, calls
+            )
+            connect(layer, node, candidates)
+            entry_dist, entry = candidates[0]
+        if level > entry_level:
+            for layer in range(entry_level + 1, level + 1):
+                graph.layers[layer][node] = []
+            graph.entry_point = node
+            entry_level = level
+    return graph, calls[0]
+
+
+def _assert_same_graph(got, want):
+    assert got.layers == want.layers
+    assert got.entry_point == want.entry_point
+    assert np.array_equal(got.node_max_layer, want.node_max_layer)
+    assert got.node_max_layer.dtype == want.node_max_layer.dtype
+
+
+def _check_against_oracle(points, m, ef_construction, metric, seed):
+    got = build_hnsw(points, m=m, ef_construction=ef_construction,
+                     metric=metric, seed=seed)
+    want, want_calls = _reference_build_hnsw(
+        points, m, ef_construction, metric, seed
+    )
+    got.validate()
+    want.validate()
+    _assert_same_graph(got, want)
+    counters = got.build_counters
+    if metric in ROW_EXACT_METRICS:
+        # Every prune read stored distances instead of calling the kernel.
+        assert counters["build_prunes_reused"] == counters["build_prunes"]
+        assert counters["build_kernel_calls"] == (
+            want_calls - counters["build_prunes"]
+        )
+    else:
+        # Angular keeps every call the oracle made.
+        assert counters["build_prunes_reused"] == 0
+        assert counters["build_kernel_calls"] == want_calls
+    return got
+
+
+def _with_zero_rows(points, every=7):
+    points = points.copy()
+    points[::every] = 0.0
+    return points
+
+
+class TestBuildMatchesOracle:
+    @pytest.mark.parametrize("metric", GRAPH_METRICS)
+    @pytest.mark.parametrize(
+        "seed,m,ef_construction", [(0, 4, 8), (1, 6, 24), (2, 12, 48)]
+    )
+    def test_random_points(self, metric, seed, m, ef_construction):
+        points = random_points(240, 8, seed=seed)
+        _check_against_oracle(points, m, ef_construction, metric, seed)
+
+    @pytest.mark.parametrize("metric", GRAPH_METRICS)
+    def test_duplicate_points(self, metric):
+        # Exact distance ties: the prune's first-index argmax decides.
+        rng = np.random.default_rng(5)
+        points = np.repeat(rng.normal(size=(40, 6)), 5, axis=0)
+        points = points.astype(np.float32)
+        graph = _check_against_oracle(points, 4, 12, metric, 4)
+        assert graph.build_counters["build_prunes"] > 0
+
+    @pytest.mark.parametrize("metric", GRAPH_METRICS)
+    def test_zero_rows(self, metric):
+        # Angular's zero-denominator fix-up, for queries and candidates.
+        points = _with_zero_rows(random_points(200, 8, seed=6))
+        _check_against_oracle(points, 6, 16, metric, 6)
+
+    def test_float64_input(self):
+        points = np.random.default_rng(7).normal(size=(150, 10))
+        for metric in GRAPH_METRICS:
+            _check_against_oracle(points, 5, 20, metric, 7)
+
+    @pytest.mark.parametrize(
+        "abbr,scale,metric",
+        [("S10K", 0.25, METRIC_EUCLID), ("LFM", 0.1, METRIC_ANGULAR)],
+    )
+    def test_paper_datasets(self, abbr, scale, metric):
+        points = load_dataset(abbr, scale=scale, seed=0).points
+        _check_against_oracle(points, 12, 48, metric, 0)
+
+
+class TestGraphDistances:
+    def test_build_hands_its_norms_to_search(self):
+        points = _with_zero_rows(random_points(120, 8, seed=9))
+        graph = build_hnsw(points, m=6, ef_construction=16,
+                           metric=METRIC_ANGULAR)
+        helper = graph.distances()
+        assert helper is graph.distances()
+        assert helper.norms.dtype == np.float32
+        assert helper.norms.shape == (120,)
+        assert np.all(helper.norms[::7] == 0.0)
+        assert np.all(helper.norms[1::7] > 0.0)
+
+    @pytest.mark.parametrize("metric", GRAPH_METRICS)
+    def test_bound_kernel_matches_batch_distances(self, metric):
+        points = _with_zero_rows(random_points(60, 8, seed=10))
+        helper = build_hnsw(points, m=4, ef_construction=8,
+                            metric=metric).distances()
+        dist = helper.bind(get_backend())
+        ids = [5, 0, 17, 3, 59, 21]
+        for query in (points[3], points[7], points[11] + 0.5):
+            got = dist(query, helper.query_norm(query), ids)
+            want = batch_distances(query, points[ids], metric)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+            one = dist(query, helper.query_norm(query), slice(4, 5))
+            assert one.tobytes() == batch_distances(
+                query, points[4:5], metric
+            ).tobytes()
+
+
+class TestBuildCounters:
+    def test_euclid_reuses_every_prune(self):
+        index = HnswIndex(m=6, ef_construction=24, seed=1)
+        before = index.stats()
+        assert before["build_kernel_calls"] == before["build_prunes"] == 0
+        shape = index.build(random_points(300, 8, seed=8)).stats()
+        assert shape["build_prunes"] > 0
+        assert shape["build_prunes_reused"] == shape["build_prunes"]
+        assert shape["build_kernel_calls"] > 0
+
+    @pytest.mark.parametrize("metric", [METRIC_ANGULAR, "cosine"])
+    def test_angular_reuses_no_prune(self, metric):
+        index = HnswIndex(m=6, ef_construction=24, metric=metric, seed=1)
+        shape = index.build(random_points(300, 8, seed=8)).stats()
+        assert shape["build_prunes"] > 0
+        assert shape["build_prunes_reused"] == 0
+        assert shape["build_kernel_calls"] > shape["build_prunes"]
 
 
 class TestSearch:
