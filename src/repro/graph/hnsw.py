@@ -11,14 +11,17 @@ Distances use float32 numpy batch kernels for build speed; the *search* path
 Both go through one :class:`GraphDistances` per graph: the kernel is
 resolved from :mod:`repro.kernels` once per build (once per search call on
 the search side) and angular row norms are computed once per graph.  For
-the row-exact metrics (euclid, l1, linf) the build keeps each adjacency
-list's distances beside it, so back-link pruning needs no kernel call.
+every metric the build keeps each adjacency list's distances beside it,
+so back-link pruning needs no kernel call: for the row-exact metrics
+(euclid, l1, linf) never, for angular whenever the stored distances
+certify the argmax (:func:`angular_error_bound`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,7 +48,15 @@ GRAPH_METRICS = (METRIC_EUCLID, METRIC_ANGULAR, METRIC_L1, METRIC_LINF)
 ROW_EXACT_METRICS = (METRIC_EUCLID, METRIC_L1, METRIC_LINF)
 
 #: Build counters :func:`build_hnsw` records in ``HnswGraph.build_counters``.
-BUILD_COUNTERS = ("build_kernel_calls", "build_prunes", "build_prunes_reused")
+BUILD_COUNTERS = (
+    "build_kernel_calls", "build_prunes", "build_prunes_reused",
+    "build_prunes_fallback",
+)
+
+#: Angular prunes are certified only when every involved norm lies in this
+#: range: no square, product or denominator underflows or overflows
+#: (see :func:`angular_error_bound`).
+CERTIFIED_NORMS = (2.0**-60, 2.0**60)
 
 #: ``dist(query, query_norm, ids)``: float32 distances from ``query`` to
 #: ``points[ids]`` (``ids`` a list, index array or slice); ``query_norm``
@@ -61,6 +72,39 @@ def _query_norm(query: np.ndarray) -> np.float32:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """The angular candidate norms: per-row float32 sums of squares."""
     return np.sqrt(np.sum(rows * rows, axis=1, dtype=np.float32))
+
+
+def angular_error_bound(dim: int) -> float:
+    """``tau(dim) = 2*(dim+4)*2**-24``: how far a float32 angular distance
+    on this code path can be from the exact ``1 - cos(theta)``.
+
+    With ``u = 2**-24`` and ``gamma_n = n*u/(1-n*u)``, for rows ``a`` and
+    ``q`` of dimension ``n`` whose norms lie in :data:`CERTIFIED_NORMS`
+    (so nothing underflows or overflows):
+
+    * the dot product, in any summation order (BLAS blocking, SIMD lanes,
+      FMA), is ``a.q + e`` with ``|e| <= gamma_n * sum|a_i q_i| <=
+      gamma_n*|a||q|``;
+    * the row norm (float32 squares, float32 sum, float32 sqrt) is
+      ``|a|(1+alpha)`` with ``|alpha| <= gamma_n/2 + u``;
+    * the query norm (float32 squares summed in float64, sqrt, cast to
+      float32) is ``|q|(1+beta)`` with ``|beta| <= 1.5u + n*2**-53``;
+    * the denominator product and the divide each round once (``u``), so
+      the computed cosine is within ``(1.5n + 4.5)u`` of the exact one,
+      to first order;
+    * ``1 - cos`` rounds once more, with ``|1 - cos| <= 2``: another
+      ``2u``.
+
+    That is ``(1.5n + 6.5)u``; ``tau = (2n + 8)u`` leaves ``(0.5n + 1.5)u``
+    for the second-order terms (below ``8*(n*u)**2``, so covered for
+    ``n <= 2**20``) and the float64 rounding of a difference of two
+    float32 distances.
+    Two evaluations of one pair, in either direction, differ by at most
+    ``2*tau``; so when the largest of a list's stored distances beats the
+    second largest by more than ``4*tau``, a recomputation of the list has
+    the same unique argmax.
+    """
+    return 2.0 * (dim + 4) * 2.0**-24
 
 
 def _angular(dot: np.ndarray, norms: np.ndarray, q_norm) -> np.ndarray:
@@ -109,8 +153,11 @@ def batch_distances(
     scipy-openblas 0.3.31 (Haswell kernels), a row's bits changed with its
     position in 2,309 of 3,000 random batches, and a 1-row call differed
     from the same row inside a batch in 2,870 of 3,000.  Angular graphs
-    are therefore tied to the BLAS kernel, and callers that must agree
-    bit for bit keep every angular call's shape and row order.
+    are therefore tied to the BLAS kernel, and angular searches that must
+    agree bit for bit keep every call's shape and row order.  Build prunes
+    need only an argmax, so :func:`build_hnsw` decides them from stored
+    distances whenever the ``4 * tau`` gap of :func:`angular_error_bound`
+    certifies it.
     """
     q = query.astype(np.float32, copy=False)
     c = candidates.astype(np.float32, copy=False)
@@ -137,6 +184,9 @@ class GraphDistances:
         self.points = points
         self.metric = metric
         self.norms = _row_norms(points) if metric == METRIC_ANGULAR else None
+        self.min_norm = (
+            self.norms.min() if metric == METRIC_ANGULAR else None
+        )
 
     @property
     def row_exact(self) -> bool:
@@ -148,20 +198,35 @@ class GraphDistances:
 
     def bind(self, backend) -> DistanceFn:
         points = self.points
+        take = points.take
         if self.metric == METRIC_ANGULAR:
-            norms = self.norms
+            norms, min_norm = self.norms, self.min_norm
+            take_norms = norms.take
+            one = np.array(1.0, np.float32)  # 0-d: cheaper ufunc dispatch
+            divide, subtract, fromiter = np.divide, np.subtract, np.fromiter
 
             def angular(q, q_norm, ids):
-                if ids.__class__ is list:
+                if ids.__class__ is slice:
+                    rows, row_norms = points[ids], norms[ids]
+                else:
                     # One index conversion shared by both gathers.
-                    ids = np.array(ids, dtype=np.intp)
-                return _angular(points[ids] @ q, norms[ids], q_norm)
+                    ids = fromiter(ids, np.intp, len(ids))
+                    rows, row_norms = take(ids, 0), take_norms(ids)
+                dot = rows @ q
+                if min_norm * q_norm > 0:
+                    # Rounding is monotone, so every denominator is at
+                    # least this one: none needs the zero fix-up.
+                    divide(dot, row_norms * q_norm, out=dot)
+                    return subtract(one, dot, out=dot)
+                return _angular(dot, row_norms, q_norm)
 
             return angular
         kernel = _row_kernel(backend, self.metric, points.shape[1])
 
         def row_exact(q, _q_norm, ids):
-            return kernel(points[ids], q)
+            if ids.__class__ is slice:
+                return kernel(points[ids], q)
+            return kernel(take(ids, 0), q)
 
         return row_exact
 
@@ -261,10 +326,12 @@ def _search_layer(
     visited = {entry}
     frontier = [(entry_dist, entry)]  # min-heap
     best = [(-entry_dist, entry)]  # max-heap
+    worst = entry_dist  # -best[0][0]
+    room = ef - 1  # ef - len(best)
     calls = 0
     while frontier:
         d, node = heappop(frontier)
-        if d > -best[0][0] and len(best) >= ef:
+        if d > worst and room <= 0:
             break
         nbrs = [n for n in adjacency.get(node, ()) if n not in visited]
         if not nbrs:
@@ -272,12 +339,15 @@ def _search_layer(
         visited.update(nbrs)
         calls += 1
         for nbr_dist, nbr in zip(dist(query, q_norm, nbrs).tolist(), nbrs):
-            if len(best) < ef:
+            if room > 0:
+                room -= 1
                 heappush(best, (-nbr_dist, nbr))
-                heappush(frontier, (nbr_dist, nbr))
-            elif nbr_dist < -best[0][0]:
+            elif nbr_dist < worst:
                 heapreplace(best, (-nbr_dist, nbr))
-                heappush(frontier, (nbr_dist, nbr))
+            else:
+                continue
+            heappush(frontier, (nbr_dist, nbr))
+            worst = -best[0][0]
     return sorted((-negd, node) for negd, node in best), calls
 
 
@@ -293,14 +363,20 @@ def build_hnsw(
     ``m`` is the target out-degree per layer (layer 0 allows ``2*m``);
     ``ef_construction`` the build-time beam width.
 
-    The distance kernel is resolved once, from the active backend.  For
-    row-exact metrics every adjacency list keeps its edges' distances
-    beside it: a chosen neighbor's from the beam search, a back-link's
-    as ``d(node, nbr)``.  Pruning the farthest back-link is then an
-    argmax over stored values, equal bit for bit to recomputing them.
-    Angular prunes recompute, with the same shape and row order as ever.
-    ``build_counters`` reports ``build_kernel_calls``, ``build_prunes``
-    and ``build_prunes_reused`` (prunes answered from stored distances).
+    The distance kernel is resolved once, from the active backend.  Every
+    adjacency list keeps its edges' distances beside it (float32, in an
+    ``array('f')``): a chosen neighbor's from the beam search, a
+    back-link's as ``d(node, nbr)``.  Pruning the farthest back-link is a
+    first-index argmax over the stored values.  For row-exact metrics that
+    equals recomputing them bit for bit.  Angular recomputations depend on
+    the BLAS call's shape, so an angular prune trusts the stored argmax
+    only when it beats the runner-up by more than ``4 * tau``
+    (:func:`angular_error_bound`) and every involved norm lies in
+    :data:`CERTIFIED_NORMS`; otherwise it recomputes with the same shape
+    and row order as ever.  ``build_counters`` reports
+    ``build_kernel_calls``, ``build_prunes``, ``build_prunes_reused``
+    (prunes answered from stored distances) and ``build_prunes_fallback``
+    (prunes that called the kernel); the last two sum to the second.
     """
     points = np.ascontiguousarray(points, dtype=np.float32)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -333,46 +409,66 @@ def build_hnsw(
     layers = graph.layers
     dist = helper.bind(get_backend())
     reuse = helper.row_exact
-    # Distances parallel to each adjacency list (row-exact metrics), or
-    # each inserted node's query norm for its angular prunes.
-    edge_dists: list[dict[int, list[float]]] = [{} for _ in layers]
+    # Distances parallel to each adjacency list, and (angular) each
+    # inserted node's query norm for the prunes that must recompute.
+    edge_dists: list[dict[int, array]] = [{} for _ in layers]
     q_norms = np.zeros(count, np.float32)
-    calls = prunes = 0
+    if not reuse:
+        gap = 4.0 * angular_error_bound(points.shape[1])
+        low, high = CERTIFIED_NORMS
+        norms = helper.norms
+        uncertified = set(
+            np.flatnonzero((norms < low) | (norms > high)).tolist()
+        )
+    calls = prunes = fallbacks = 0
+
+    def certified_worst(nbr: int, back: list[int], back_d: array) -> int:
+        """The stored argmax when it certifies the recomputed one, else -1."""
+        if uncertified and (
+            nbr in uncertified or not uncertified.isdisjoint(back)
+        ):
+            return -1
+        ranked = sorted(back_d)
+        top = ranked[-1]
+        return back_d.index(top) if top - ranked[-2] > gap else -1
 
     def connect(layer: int, node: int, candidates: list[tuple[float, int]]) -> None:
-        nonlocal calls, prunes
+        nonlocal calls, prunes, fallbacks
         cap = graph.degree_cap(layer)
         adjacency = layers[layer]
+        layer_dists = edge_dists[layer]
         chosen = candidates[:cap]
         adjacency[node] = [nbr for _dist, nbr in chosen]
-        if reuse:
-            layer_dists = edge_dists[layer]
-            layer_dists[node] = [d for d, _nbr in chosen]
+        layer_dists[node] = array("f", [d for d, _nbr in chosen])
         for d, nbr in chosen:
-            back = adjacency.setdefault(nbr, [])
+            back = adjacency[nbr]
             if node in back:
                 continue
             back.append(node)
-            if reuse:
-                back_d = layer_dists.setdefault(nbr, [])
-                back_d.append(d)
+            back_d = layer_dists[nbr]
+            back_d.append(d)
             if len(back) > cap:
                 # Prune the farthest back-link (first index on ties).
                 prunes += 1
                 if reuse:
                     worst = back_d.index(max(back_d))
-                    back_d.pop(worst)
                 else:
-                    calls += 1
-                    worst = int(np.argmax(dist(points[nbr], q_norms[nbr], back)))
+                    worst = certified_worst(nbr, back, back_d)
+                    if worst < 0:
+                        fallbacks += 1
+                        calls += 1
+                        worst = int(np.argmax(
+                            dist(points[nbr], q_norms[nbr], back)
+                        ))
                 back.pop(worst)
+                del back_d[worst]
 
     # First point seeds every one of its layers.
     first_level = int(node_levels[0])
     graph.entry_point = 0
     for layer in range(first_level + 1):
         layers[layer][0] = []
-        edge_dists[layer][0] = []
+        edge_dists[layer][0] = array("f")
     entry_level = first_level
     if not reuse:
         q_norms[0] = helper.query_norm(points[0])
@@ -414,10 +510,10 @@ def build_hnsw(
         if level > entry_level:
             for layer in range(entry_level + 1, level + 1):
                 layers[layer][node] = []
-                edge_dists[layer][node] = []
+                edge_dists[layer][node] = array("f")
             graph.entry_point = node
             entry_level = level
     graph.build_counters = dict(
-        zip(BUILD_COUNTERS, (calls, prunes, prunes if reuse else 0))
+        zip(BUILD_COUNTERS, (calls, prunes, prunes - fallbacks, fallbacks))
     )
     return graph

@@ -163,7 +163,9 @@ class ReferenceBackend:
         candidate pool of :func:`repro.graph.search.search_batch`).
         """
         diff = candidates - query
-        return np.sum(diff * diff, axis=1, dtype=np.float32)
+        np.multiply(diff, diff, out=diff)
+        # ``np.sum`` forwards to ``add.reduce``: same bits, half the cost.
+        return np.add.reduce(diff, axis=1, dtype=np.float32)
 
     # -- geometry kernels (repro/geometry/aabb.py) ------------------------
 

@@ -11,10 +11,13 @@ from repro.datasets import load_dataset
 from repro.errors import BuildError
 from repro.graph import HnswGraph, PriorityCache, build_hnsw, search
 from repro.graph.hnsw import (
+    CERTIFIED_NORMS,
     GRAPH_METRICS,
     METRIC_ANGULAR,
     METRIC_EUCLID,
     ROW_EXACT_METRICS,
+    GraphDistances,
+    angular_error_bound,
     batch_distances,
 )
 from repro.graph.search import GraphSearchStats
@@ -297,16 +300,16 @@ def _check_against_oracle(points, m, ef_construction, metric, seed):
     want.validate()
     _assert_same_graph(got, want)
     counters = got.build_counters
+    assert counters["build_prunes_reused"] + counters[
+        "build_prunes_fallback"
+    ] == counters["build_prunes"]
     if metric in ROW_EXACT_METRICS:
         # Every prune read stored distances instead of calling the kernel.
-        assert counters["build_prunes_reused"] == counters["build_prunes"]
-        assert counters["build_kernel_calls"] == (
-            want_calls - counters["build_prunes"]
-        )
-    else:
-        # Angular keeps every call the oracle made.
-        assert counters["build_prunes_reused"] == 0
-        assert counters["build_kernel_calls"] == want_calls
+        assert counters["build_prunes_fallback"] == 0
+    # Every other call is one the oracle made too.
+    assert counters["build_kernel_calls"] == (
+        want_calls - counters["build_prunes_reused"]
+    )
     return got
 
 
@@ -344,6 +347,41 @@ class TestBuildMatchesOracle:
         points = np.random.default_rng(7).normal(size=(150, 10))
         for metric in GRAPH_METRICS:
             _check_against_oracle(points, 5, 20, metric, 7)
+
+    def test_scaled_duplicates_fall_back(self):
+        # Copies of one direction at several magnitudes tie exactly in
+        # angle, but their float32 distances differ in the last bits: the
+        # stored values cannot certify those prunes, so they recompute.
+        rng = np.random.default_rng(11)
+        directions = rng.normal(size=(30, 8))
+        scales = np.array([1.0, 1.0 + 2.0**-20, 2.0, 3.0])
+        points = (directions[:, None, :] * scales[None, :, None]).reshape(
+            -1, 8
+        )
+        graph = _check_against_oracle(points, 4, 12, METRIC_ANGULAR, 11)
+        assert graph.build_counters["build_prunes_fallback"] > 0
+
+    @pytest.mark.parametrize("scale", [1e-21, 1e21])
+    def test_uncertified_norms_fall_back(self, scale):
+        # Squares underflow (or overflow) in float32: the error bound does
+        # not hold, so no prune may trust the stored distances.
+        points = random_points(150, 8, seed=12) * np.float32(scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            helper = GraphDistances(points, METRIC_ANGULAR)
+            graph = _check_against_oracle(points, 4, 12, METRIC_ANGULAR, 12)
+        low, high = CERTIFIED_NORMS
+        assert np.all((helper.norms < low) | (helper.norms > high))
+        counters = graph.build_counters
+        assert counters["build_prunes"] > 0
+        assert counters["build_prunes_reused"] == 0
+
+    def test_some_uncertified_norms(self):
+        # Only prunes whose lists touch a tiny row fall back.
+        points = random_points(240, 8, seed=13)
+        points[::9] *= np.float32(1e-21)
+        graph = _check_against_oracle(points, 6, 16, METRIC_ANGULAR, 13)
+        counters = graph.build_counters
+        assert 0 < counters["build_prunes_fallback"] < counters["build_prunes"]
 
     @pytest.mark.parametrize(
         "abbr,scale,metric",
@@ -389,18 +427,64 @@ class TestBuildCounters:
         index = HnswIndex(m=6, ef_construction=24, seed=1)
         before = index.stats()
         assert before["build_kernel_calls"] == before["build_prunes"] == 0
+        assert before["build_prunes_fallback"] == 0
         shape = index.build(random_points(300, 8, seed=8)).stats()
         assert shape["build_prunes"] > 0
         assert shape["build_prunes_reused"] == shape["build_prunes"]
+        assert shape["build_prunes_fallback"] == 0
         assert shape["build_kernel_calls"] > 0
 
     @pytest.mark.parametrize("metric", [METRIC_ANGULAR, "cosine"])
-    def test_angular_reuses_no_prune(self, metric):
+    def test_angular_reuses_most_prunes(self, metric):
         index = HnswIndex(m=6, ef_construction=24, metric=metric, seed=1)
         shape = index.build(random_points(300, 8, seed=8)).stats()
         assert shape["build_prunes"] > 0
-        assert shape["build_prunes_reused"] == 0
-        assert shape["build_kernel_calls"] > shape["build_prunes"]
+        assert shape["build_prunes_reused"] + shape[
+            "build_prunes_fallback"
+        ] == shape["build_prunes"]
+        assert shape["build_prunes_reused"] > 0.9 * shape["build_prunes"]
+        assert shape["build_kernel_calls"] > 0
+
+
+def _exact_angular(query, rows):
+    """``1 - cos`` of float32 inputs, in float64 with ``math.fsum``."""
+    q = [float(x) for x in query]
+    q_norm = math.sqrt(math.fsum(x * x for x in q))
+    out = []
+    for row in rows:
+        r = [float(x) for x in row]
+        dot = math.fsum(a * b for a, b in zip(q, r))
+        norm = math.sqrt(math.fsum(x * x for x in r))
+        out.append(1.0 - dot / (norm * q_norm))
+    return np.array(out)
+
+
+class TestAngularErrorBound:
+    def test_formula(self):
+        assert angular_error_bound(96) == 2 * 100 * 2.0**-24
+
+    @pytest.mark.parametrize("dim", [2, 8, 65, 96, 200, 256, 960])
+    def test_bound_holds(self, dim):
+        # Call shapes of the build and search: one row (the entry point),
+        # short neighbor lists and full beams.  Half the rows are shifted
+        # towards row 0, so some pairs are nearly parallel.
+        rng = np.random.default_rng(dim)
+        points = rng.normal(size=(300, dim)).astype(np.float32)
+        points[150:] += np.float32(3.0) * points[0]
+        helper = GraphDistances(points, METRIC_ANGULAR)
+        dist = helper.bind(get_backend())
+        tau = angular_error_bound(dim)
+        worst = 0.0
+        for trial in range(40):
+            query = points[rng.integers(300)]
+            size = (1, 2, 7, 16, 25, 33, 48)[trial % 7]
+            ids = rng.choice(300, size=size, replace=False).tolist()
+            got = dist(query, helper.query_norm(query), ids)
+            exact = _exact_angular(query, points[ids])
+            worst = max(worst, float(np.max(np.abs(got - exact))))
+            one_shot = batch_distances(query, points[ids], METRIC_ANGULAR)
+            assert one_shot.tobytes() == got.tobytes()
+        assert worst <= tau
 
 
 class TestSearch:

@@ -200,3 +200,24 @@ class TestJitBackendAlgorithms:
             assert isinstance(backend, JitBackend)
         else:
             assert backend is None
+
+
+class TestReferenceKernels:
+    @pytest.mark.parametrize(
+        "rows,dim", [(1, 2), (16, 65), (33, 96), (7, 960), (200, 8)]
+    )
+    def test_sq_l2_f32_bytes_equal_np_sum(self, rows, dim):
+        # The kernel calls ``np.add.reduce`` directly; ``np.sum`` is the
+        # form it replaced and must keep giving the same bytes.
+        rng = np.random.default_rng(rows * dim)
+        cands = rng.normal(size=(rows, dim)).astype(np.float32)
+        kernel = ReferenceBackend().sq_l2_f32
+        for query in (
+            rng.normal(size=dim).astype(np.float32),
+            rng.normal(size=(rows, dim)).astype(np.float32),
+        ):
+            diff = cands - query
+            want = np.sum(diff * diff, axis=1, dtype=np.float32)
+            got = kernel(cands, query)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ from repro.search import (
     BvhRadiusIndex,
     HnswIndex,
     KdTreeIndex,
+    QuerySpec,
     SearchIndex,
 )
 
@@ -74,7 +75,7 @@ class TestKdTreeAdapter:
         for q in queries:
             stats = KdSearchStats(record_events=True)
             direct = knn_search(tree, q, k=5, max_checks=64, stats=stats)
-            assert index.query(q, k=5, max_checks=64,
+            assert index.query(q, spec=QuerySpec(k=5, max_checks=64),
                                record_events=True) == direct
             assert index.last_events == stats.events
         shape = index.stats()
@@ -91,7 +92,9 @@ class TestHnswAdapter:
         for q in queries:
             stats = GraphSearchStats(record_events=True)
             direct = search(graph, q, k=5, ef=16, stats=stats)
-            assert index.query(q, k=5, ef=16, record_events=True) == direct
+            assert index.query(
+                q, spec=QuerySpec(k=5, ef=16), record_events=True
+            ) == direct
             assert index.last_events == stats.events
         shape = index.stats()
         assert shape["structure"] == "hnsw"

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.errors import BuildError, ConfigError
-from repro.search import BTreeKvIndex, BvhRadiusIndex, HnswIndex, KdTreeIndex
+from repro.search import (
+    BTreeKvIndex,
+    BvhRadiusIndex,
+    HnswIndex,
+    KdTreeIndex,
+    QuerySpec,
+)
 from repro.sharding import (
     COORD_BYTES,
     RESULT_BYTES,
@@ -204,10 +210,10 @@ class TestKdEquivalence:
         reference = KdTreeIndex().build(points)
         sharded = ShardedIndex(KdTreeIndex, shards).build(points)
         queries = _queries(30)
-        params = {"k": k, "max_checks": 100_000}
+        spec = QuerySpec(k=k, max_checks=100_000)
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=spec).neighbors
+            == reference.query_batch(queries, spec=spec).neighbors
         )
 
     @pytest.mark.parametrize("metric", ["l1", "linf", "cosine"])
@@ -223,10 +229,10 @@ class TestKdEquivalence:
         sharded = ShardedIndex(
             lambda: KdTreeIndex(metric=metric), 3
         ).build(points)
-        params = {"k": 5, "max_checks": 100_000}
+        spec = QuerySpec(k=5, max_checks=100_000)
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=spec).neighbors
+            == reference.query_batch(queries, spec=spec).neighbors
         )
 
     def test_duplicates_match_when_k_covers_the_tie_set(self):
@@ -238,9 +244,9 @@ class TestKdEquivalence:
         reference = KdTreeIndex().build(points)
         sharded = ShardedIndex(KdTreeIndex, 4).build(points)
         queries = _queries(10)
-        params = {"k": 320, "max_checks": 100_000}
-        ref = reference.query_batch(queries, **params).neighbors
-        got = sharded.query_batch(queries, **params).neighbors
+        spec = QuerySpec(k=320, max_checks=100_000)
+        ref = reference.query_batch(queries, spec=spec).neighbors
+        got = sharded.query_batch(queries, spec=spec).neighbors
         for ref_row, got_row in zip(ref, got):
             assert sorted(ref_row) == sorted(got_row)
 
@@ -249,10 +255,10 @@ class TestKdEquivalence:
         reference = KdTreeIndex().build(points)
         sharded = ShardedIndex(KdTreeIndex, 8).build(points)
         queries = _queries(5)
-        params = {"k": 3, "max_checks": 100}
+        spec = QuerySpec(k=3, max_checks=100)
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=spec).neighbors
+            == reference.query_batch(queries, spec=spec).neighbors
         )
 
 
@@ -264,10 +270,10 @@ class TestHnswEquivalence:
         reference = factory().build(points)
         sharded = ShardedIndex(factory, shards).build(points)
         queries = _queries(15, dim=8)
-        params = {"k": k, "ef": 1000}  # ef > N: per-shard search is exact
+        spec = QuerySpec(k=k, ef=1000)  # ef > N: per-shard search is exact
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=spec).neighbors
+            == reference.query_batch(queries, spec=spec).neighbors
         )
 
 
