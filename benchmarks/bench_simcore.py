@@ -23,17 +23,12 @@ Each sample also records the campaign's *phase split* — trace generation
 independently: a trace-gen regression can't hide inside a simulator win.
 
 **Engine microbenchmark** (``engines`` JSON section): the smoke campaign
-is memory-bound, so the warp-batched event engine's fast tiers barely
-engage there.  The ``engines`` section therefore measures the simulate
-phase of a synthetic compute-bound kernel (pure ALU/SFU/LDS warps — the
-workload shape the engine accelerates) for every engine x kernel-backend
-combination, interleaved best-of-N inside one process per backend.  Both
-engines must produce identical ``SimStats`` (asserted per sample) and
-each cell is gated against the committed JSON.
-``speedup_batched_vs_scalar`` under the ``reference`` backend is the
-recorded batched-engine win (acceptance bar >= 1.5x); under ``jit`` the
-compiled ``engine_drain`` loop raises the bar further (CI-only — see
-below).
+is memory-bound, so the event loop's pure-compute chain barely engages
+there.  The ``engines`` section therefore measures the simulate phase of
+a synthetic compute-bound kernel (pure ALU/SFU/LDS warps — the workload
+shape the chain serves), best-of-N inside one process per kernel
+backend.  Each backend's ``batched_simulate_seconds`` cell is gated
+against the committed JSON.
 
 **Honest jit rows**: ``numba_available`` records whether the ``jit``
 backend actually exercised compiled kernels.  Without numba the jit
@@ -46,7 +41,7 @@ a run whose jit rows fell back unless ``--allow-jit-fallback`` is given
 ``--check`` compares the fresh measurement against the *committed*
 ``BENCH_simcore.json`` (falling back to :data:`BASELINE_COLD_SECONDS` and
 the per-phase baseline constants) and exits non-zero when cold wall-clock,
-either phase, or any per-engine/per-backend simulate cell regressed more
+either phase, or any per-backend simulate cell regressed more
 than ``--tolerance`` (default 20%).  ``BASELINE_COLD_SECONDS`` is the same
 benchmark measured at the commit before the skip-to-next-event engine and
 the vectorized workload kernels landed; ``speedup_vs_baseline`` in the
@@ -102,12 +97,9 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simcore.json"
 #: Kernel backends the per-backend sections measure (docs/KERNELS.md).
 BACKENDS = ("reference", "jit")
 
-#: Engines the ``engines`` microbenchmark compares (gpusim/engine.py).
-ENGINES = ("scalar", "batched")
-
 #: Shape of the engine microbenchmark's synthetic kernel: enough warps
-#: that admission waves exercise the vectorized ``engine_advance`` tier
-#: and the steady state exercises the singleton ``heapreplace`` chain.
+#: for wide admission-wave horizons, then a long steady state on the
+#: event loop's pure ``heapreplace`` chain.
 ENGINE_MICRO_WARPS = 1024
 ENGINE_MICRO_INSTRS = 32
 ENGINE_MICRO_SMS = 4
@@ -141,35 +133,23 @@ def _engine_micro_kernel():
 
 
 def _engine_child(runs: int) -> None:
-    """Per-engine simulate times for the micro kernel, inside this
-    process (backend comes from ``REPRO_KERNEL_BACKEND``).
+    """Best-of-N simulate time for the micro kernel, inside this process
+    (backend comes from ``REPRO_KERNEL_BACKEND``).
 
-    Interleaved best-of-N: engines alternate within each rep so slow
-    drift hits both equally (floor of 4 reps — the first rep pays numpy
-    warmup and a 1-vCPU container needs a few shots at a quiet slice).
-    Also asserts batched == scalar ``SimStats`` — the bench doubles as an
-    end-to-end equivalence check.
+    Floor of 4 reps: the first rep pays numpy warmup and a 1-vCPU
+    container needs a few shots at a quiet slice.
     """
     from repro.gpusim.config import GpuConfig
     from repro.gpusim.gpu import GpuSimulator
 
     kernel = _engine_micro_kernel()
-    best: dict[str, float] = {engine: float("inf") for engine in ENGINES}
-    stats: dict[str, object] = {}
+    best = float("inf")
     for _rep in range(max(runs, 4)):
-        for engine in ENGINES:
-            sim = GpuSimulator(
-                GpuConfig(engine=engine, num_sms=ENGINE_MICRO_SMS), kernel
-            )
-            start = time.perf_counter()
-            stats[engine] = sim.run()
-            wall = time.perf_counter() - start
-            if wall < best[engine]:
-                best[engine] = wall
-    if stats["scalar"] != stats["batched"]:
-        print(json.dumps({"error": "batched != scalar SimStats"}))
-        raise SystemExit(1)
-    print(json.dumps({engine: best[engine] for engine in ENGINES}))
+        sim = GpuSimulator(GpuConfig(num_sms=ENGINE_MICRO_SMS), kernel)
+        start = time.perf_counter()
+        sim.run()
+        best = min(best, time.perf_counter() - start)
+    print(json.dumps({"seconds": best}))
 
 
 def _child(jobs_n: int) -> None:
@@ -347,9 +327,8 @@ def measure_engines(runs: int) -> dict[str, object]:
     """Engine-microbenchmark simulate times (``engines`` JSON section).
 
     One fresh subprocess per kernel backend (the backend must be pinned
-    before ``repro.kernels`` imports); engines interleave inside it.
-    Rows for a degraded jit backend are ``null``, like
-    :func:`measure_backends`.
+    before ``repro.kernels`` imports).  Rows for a degraded jit backend
+    are ``null``, like :func:`measure_backends`.
     """
     from repro.kernels import jit_available
 
@@ -363,19 +342,9 @@ def measure_engines(runs: int) -> dict[str, object]:
             ["--engine-child", "--runs", str(runs)],
             {"REPRO_KERNEL_BACKEND": backend},
         )
-        scalar = float(payload["scalar"])
-        batched = float(payload["batched"])
-        engines[backend] = {
-            "scalar_simulate_seconds": round(scalar, 4),
-            "batched_simulate_seconds": round(batched, 4),
-            "speedup_batched_vs_scalar": round(scalar / batched, 3),
-        }
-        print(
-            f"  [{backend}] engine micro: scalar {scalar:.4f}s, "
-            f"batched {batched:.4f}s "
-            f"({scalar / batched:.2f}x)",
-            flush=True,
-        )
+        seconds = float(payload["seconds"])
+        engines[backend] = {"batched_simulate_seconds": round(seconds, 4)}
+        print(f"  [{backend}] engine micro: {seconds:.4f}s", flush=True)
     return {
         "engines": engines,
         "engine_micro": {
@@ -416,23 +385,22 @@ def _committed_section(output: Path, section: str) -> dict:
 
 
 def _gate_engines(gate, result: dict, committed_engines: dict) -> None:
-    """Per engine x backend simulate-phase gates on the micro kernel."""
+    """Per-backend simulate-phase gates on the micro kernel."""
+    field = "batched_simulate_seconds"
     for backend, row in result["engines"].items():
+        if row is None:
+            # Degraded backend: nothing measured, nothing to gate
+            # (the jit-fallback refusal handles certification).
+            continue
+        name = f"engine[{backend}]"
         committed_row = committed_engines.get(backend)
-        for engine in ENGINES:
-            name = f"engine[{backend}/{engine}]"
-            field = f"{engine}_simulate_seconds"
-            if row is None:
-                # Degraded backend: nothing measured, nothing to gate
-                # (the jit-fallback refusal handles certification).
-                continue
-            if not isinstance(committed_row, dict) or field not in committed_row:
-                gate.first_run(name)
-                continue
-            gate.check_upper(
-                name, "simulate", float(row[field]),
-                float(committed_row[field]), unit="s", fmt="{:.4f}",
-            )
+        if not isinstance(committed_row, dict) or field not in committed_row:
+            gate.first_run(name)
+            continue
+        gate.check_upper(
+            name, "simulate", float(row[field]),
+            float(committed_row[field]), unit="s", fmt="{:.4f}",
+        )
 
 
 def _gate_backends(gate, result: dict, committed_backends: dict) -> None:
@@ -463,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI mode: 2 samples and the regression gate")
     parser.add_argument("--check", action="store_true",
                         help="fail when cold wall-clock, either phase, or "
-                        "any per-engine/per-backend simulate cell regresses "
+                        "any per-backend simulate cell regresses "
                         "beyond --tolerance vs the committed "
                         "BENCH_simcore.json")
     parser.add_argument("--allow-jit-fallback", action="store_true",
@@ -504,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     result = measure(runs, args.jobs)
     print("per-backend phase split:")
     result.update(measure_backends(runs, args.jobs))
-    print("engine microbenchmark (simulate phase, per engine x backend):")
+    print("engine microbenchmark (simulate phase, per backend):")
     result.update(measure_engines(runs))
 
     if not result["numba_available"]:
@@ -523,13 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({result['simulate_speedup_vs_pre_engine']}x vs pre-engine "
         f"{PRE_ENGINE_SIMULATE_SECONDS}s)"
     )
-    engines_ref = result["engines"].get("reference")
-    if engines_ref:
-        print(
-            "engine micro [reference]: batched "
-            f"{engines_ref['speedup_batched_vs_scalar']}x vs scalar"
-        )
-
     args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
 

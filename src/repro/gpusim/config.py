@@ -25,11 +25,6 @@ SCHEDULER_POLICIES = ("gto", "lrr", "oldest")
 #: Valid ``GpuConfig.memory`` model names (:mod:`repro.gpusim.memory`).
 MEMORY_MODELS = ("real", "perfect_l1", "perfect_dram")
 
-#: Valid ``GpuConfig.engine`` names: the warp-batched SoA event engine
-#: (default) or the scalar per-instruction loop it replaced (kept as the
-#: executable reference — see :mod:`repro.gpusim.engine`).
-ENGINES = ("batched", "scalar")
-
 _SCHEDULER_LABELS = {
     "gto": "GTO (greedy-then-oldest)",
     "lrr": "LRR (loose round-robin)",
@@ -75,14 +70,6 @@ class GpuConfig:
     #: excluded from :meth:`stable_hash` (and the observability config
     #: hash) — flipping it can never bust a cache or move a golden.
     kernel_backend: str = "reference"
-
-    #: Event-engine selection (:data:`ENGINES`): the warp-batched SoA
-    #: engine (``"batched"``, default) or the scalar per-instruction loop
-    #: (``"scalar"``).  Engines produce bit-identical :class:`SimStats`,
-    #: so — exactly like ``kernel_backend`` — this field is excluded from
-    #: :meth:`stable_hash` and the observability config hash.  The
-    #: ``REPRO_SIM_ENGINE`` environment variable overrides it.
-    engine: str = "batched"
 
     # Chip-wide bandwidths (lines/cycle at the full SM count).  V100:
     # ~2.7 TB/s L2 and ~900 GB/s HBM at 1.4 GHz are ~15 and ~5 cache lines
@@ -133,10 +120,6 @@ class GpuConfig:
             raise ConfigError(
                 f"unknown kernel backend {self.kernel_backend!r} "
                 f"(want one of {KERNEL_BACKENDS})"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r} (want one of {ENGINES})"
             )
 
     @property
@@ -216,11 +199,6 @@ class GpuConfig:
         backend (results are bit-identical by contract)."""
         return replace(self, kernel_backend=backend)
 
-    def with_engine(self, engine: str) -> "GpuConfig":
-        """Config variant running a different event engine (results are
-        bit-identical by contract)."""
-        return replace(self, engine=engine)
-
     def stable_hash(self) -> str:
         """SHA-256 over the sorted JSON form of this configuration.
 
@@ -231,14 +209,12 @@ class GpuConfig:
         change — warp buffer, datapath width, fetch path, latencies —
         produces a different hash and therefore a cache miss.
 
-        ``kernel_backend`` and ``engine`` are excluded: backends and
-        engines are interchangeable bit for bit (the equivalence contract
-        in docs/KERNELS.md), so either choice must hit the same cache
-        entries and match the same goldens.
+        ``kernel_backend`` is excluded: backends are interchangeable bit
+        for bit (the equivalence contract in docs/KERNELS.md), so either
+        choice must hit the same cache entries and match the same goldens.
         """
         fields = dataclasses.asdict(self)
         fields.pop("kernel_backend", None)
-        fields.pop("engine", None)
         blob = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

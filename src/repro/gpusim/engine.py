@@ -1,114 +1,68 @@
-"""The warp-batched SoA event engine — the default simulate inner loop.
+"""The simulate event loop: one skip-to-next-event engine over SoA columns.
 
-:func:`run_batched` replaces :meth:`GpuSimulator._run_scalar`'s
-per-instruction Python dispatch (object attribute walks, string kind
-compares, one ``Timeline``/``Cache`` method call per resource touch) with
-a loop over the flat columns :mod:`repro.gpusim.soa` packs at ingest.
-Both engines produce bit-identical :class:`~repro.gpusim.stats.SimStats`
-— the scalar loop remains the executable reference behind
-``GpuConfig.engine="scalar"`` and the equivalence is property-tested
-across scheduler policies, memory models, and kernel backends in
-``tests/test_simcore_event_engine.py``.
+:meth:`GpuSimulator.run <repro.gpusim.gpu.GpuSimulator.run>` calls
+:func:`run_events`, which loops over the flat per-instruction columns
+:mod:`repro.gpusim.soa` packs at ingest instead of walking
+:class:`~repro.gpusim.trace.WarpInstr` objects.  The clock jumps straight
+to the scheduler's event horizon; every event due at the clock is handled
+in policy order on one of two paths:
 
-Three execution tiers, fastest applicable wins:
+1. **Pure chain** — the heap top is a *pure* instruction (ALU/SFU/LDS
+   with a successor in its warp: no memory-system interaction, no
+   retirement) due at or after the clock.  Its issue is closed-form port
+   + latency math, and its successor is re-queued with one
+   ``heapreplace`` sift.  The chain continues while the new heap top is
+   pure and due at the same clock.  Safe because a pure event completes
+   strictly later than it issues (``off >= 1``), so its successor can
+   never precede another same-clock event in policy order.  The chain
+   attributes no counters: every instruction issues exactly once and a
+   pure instruction's whole attribution (kind/warp-instruction counts and
+   its ``off + 1`` busy span) is a pack-time constant, so the per-SM
+   accumulators start from the static seeds ``soa.py`` precomputes.
+2. **Per-instruction path** — memory/HSU instructions, warp retirements
+   and wave admissions, and pure events due *before* the clock (deferred
+   admissions, whose completions may land at or before it).  Semantics
+   are identical to :meth:`SmCore.issue <repro.gpusim.gpu.SmCore.issue>`
+   plus retirement, including the same per-line cache port grants via the
+   batch :meth:`~repro.gpusim.cache.Cache.access_lines` fetch.  Only
+   non-pure events attribute counters here (pure ones are in the seed).
+   The ``gpu/engine/slow_path_events`` gauge counts the events this path
+   handled; the pure chain's share is ``events - slow_path_events``.
 
-1. **Compiled drain** (jit backend): whenever the heap top is a *pure*
-   event (ALU/SFU/LDS with a successor — no memory-system interaction,
-   no retirement), hand the *entire* queued event set to the backend's
-   ``engine_drain`` kernel, which runs the policy-ordered event loop —
-   clock jumps, port grants, counter attribution, successor requeue —
-   until the policy minimum is a non-pure event, without re-entering
-   Python.  Keeping every event in the kernel's selection set is what
-   makes multi-horizon stretches safe: a special event anywhere in the
-   queue stops the drain exactly where the scalar loop would have
-   processed it.
-2. **Vectorized advance** (any backend): all pure events sharing the
-   current event horizon are issued in one ``engine_advance`` call —
-   per-port grant chains closed with a cumulative-sum/running-max
-   identity.  Safe because a pure event due at the clock completes
-   strictly later (``off >= 1``), so its successor can never precede the
-   rest of the batch in policy order.  Neither this tier nor the
-   singleton chain attributes counters at run time: every instruction
-   issues exactly once, and a pure instruction's whole attribution
-   (kind/warp-instruction counts and its ``off + 1`` busy span) is a
-   pack-time constant, so the accumulators start from the per-SM static
-   seeds :mod:`repro.gpusim.soa` precomputes and the scalar tier skips
-   attribution for the (deferred) pure events it handles.
-3. **Scalar fallback**: memory/HSU instructions, warp retirements and
-   wave admissions, and deferred-admission events due before the current
-   clock are processed one at a time with semantics identical to
-   :meth:`SmCore.issue` — including the same per-line cache port grants,
-   via the batch :meth:`~repro.gpusim.cache.Cache.access_lines` fetch.
-
-Engine selection: the ``REPRO_SIM_ENGINE`` environment variable
-overrides ``GpuConfig.engine``; both engines hash identically
-(``engine`` is excluded from ``stable_hash`` exactly like
-``kernel_backend``).
+``tests/test_simcore_event_engine.py`` checks the loop against a
+per-cycle reference stepper built on ``SmCore.issue``, ``RtUnit.execute``
+and ``Cache.access`` across every scheduler policy, memory model and
+kernel backend, and pins the committed golden.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
-import numpy as np
-
-from repro.errors import ConfigError
-from repro.gpusim.config import ENGINES, GpuConfig
 from repro.gpusim.observability.tracer import MODE_LAST
 from repro.gpusim.scheduler import (
     GtoScheduler,
     LrrScheduler,
     OldestFirstScheduler,
 )
-from repro.gpusim.soa import pack_kernel
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KIND_CODES
-from repro.kernels import get_backend
-
-#: Environment override for ``GpuConfig.engine`` (mirrors
-#: ``REPRO_KERNEL_BACKEND`` for kernel backends).
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Same-horizon pure runs at least this long go through the vectorized
-#: ``engine_advance`` kernel; shorter runs stay in the scalar Python
-#: chain.  The kernel only replaces the port-grant arithmetic — the
-#: per-event counter/requeue work stays in Python either way — so the
-#: fixed marshaling cost (array builds, ``tolist``) needs a sizeable
-#: batch to amortize; measured crossover sits around 64 warps per
-#: horizon (see ``benchmarks/bench_simcore.py --engines``).
-ADVANCE_THRESHOLD = 64
 
 _KIND_NAMES = tuple(KIND_CODES)
 
-#: Scheduler classes whose heap-entry layout the singleton chain inlines
+#: Scheduler classes whose heap-entry layout the pure chain inlines
 #: (subclasses may change ``_key``, so exact-type match only).
 _KNOWN_SCHEDULERS = (GtoScheduler, LrrScheduler, OldestFirstScheduler)
 
 
-def resolve_engine_name(config: GpuConfig) -> str:
-    """The engine the precedence rules select: ``REPRO_SIM_ENGINE`` wins
-    over ``config.engine``.  Unknown names raise ``ConfigError``."""
-    name = os.environ.get(ENGINE_ENV_VAR) or config.engine
-    if name not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {name!r} (want one of {ENGINES})"
-        )
-    return name
-
-
-def run_batched(sim) -> SimStats:
-    """Run one simulation on the batched engine (see the module doc)."""
+def run_events(sim) -> SimStats:
+    """Run one simulation of ``sim`` (a ``GpuSimulator``; see the module
+    doc) and return its :class:`SimStats`."""
     config = sim.config
     tracer = sim.tracer
     scheduler = sim.scheduler
-    kernel = sim.kernel
     sms = sim.sms
-    backend = get_backend(config=config)
     packed = sim._packed
-    if packed is None:
-        # Constructed under a different engine resolution: lower now.
-        packed = pack_kernel(kernel, config, backend)
 
     occupancy_channel = None
     if tracer is not None:
@@ -118,10 +72,9 @@ def run_batched(sim) -> SimStats:
 
     num_sms = config.num_sms
     subcores_per_sm = config.subcores_per_sm
-    num_warps = kernel.num_warps
+    num_warps = sim.kernel.num_warps
 
-    # Static warp placement: round-robin over SMs, then sub-cores —
-    # identical to the scalar loop, flattened into per-warp columns.
+    # Static warp placement: round-robin over SMs, then sub-cores.
     # ``warp_port`` is the flat sub-core issue-port id.
     warp_sm = [0] * num_warps
     warp_port = [0] * num_warps
@@ -147,15 +100,13 @@ def run_batched(sim) -> SimStats:
     if occupancy_channel is not None:
         tracer.record(occupancy_channel, 0, inflight)
 
-    # SoA engine state: flat issue-port busy-until times (the Timeline
-    # mirror), plain-int counter accumulators for the Python tiers, and
-    # int64 accumulators the compiled drain adds into.  Everything is
-    # flushed into the SmCore slots before publish().
+    # Flat issue-port busy-until times (the sub-core Timeline mirror) and
+    # per-SM counter accumulators seeded with the pure-instruction totals.
     port_busy = [0] * (num_sms * subcores_per_sm)
-    kinds_np = np.zeros((num_sms, 5), dtype=np.int64)
-    wi_np = np.zeros(num_sms, dtype=np.int64)
-    able_np = np.zeros(num_sms, dtype=np.int64)
-    other_np = np.zeros(num_sms, dtype=np.int64)
+    wi_list = list(packed.static_wi)
+    able_list = list(packed.static_able)
+    other_list = list(packed.static_other)
+    kinds_list = [row[:] for row in packed.static_kinds]
 
     starts = packed.starts
     lengths = packed.lengths
@@ -165,56 +116,29 @@ def run_batched(sim) -> SimStats:
     kcnt = packed.kcnt
     repeat = packed.repeat
     able = packed.able
-    pure_ok = packed.pure_ok
     attrs = packed.attrs
     lines = packed.lines
     hsubusy = packed.hsubusy
 
-    drain_enabled = getattr(backend, "engine_drain_enabled", False)
-    warp_port_np = warp_sm_np = None
-    if drain_enabled:
-        packed.ensure_arrays()
-        warp_port_np = np.asarray(warp_port, dtype=np.int64)
-        warp_sm_np = np.asarray(warp_sm, dtype=np.int64)
-        # The compiled drain attributes the events it processes itself,
-        # so the Python accumulators start at zero and the scalar tier
-        # attributes everything it touches.
-        wi_list = [0] * num_sms
-        able_list = [0] * num_sms
-        other_list = [0] * num_sms
-        kinds_list = [[0] * 5 for _ in range(num_sms)]
-        static_mode = False
-    else:
-        # Python tiers only: every pure instruction issues exactly once
-        # and its whole attribution is a pack-time constant (busy span
-        # ``off + 1`` included), so the accumulators are *seeded* with
-        # the per-SM static totals and the hot tiers skip attribution
-        # entirely.  The scalar tier skips it for the pure (deferred)
-        # events it handles — they are already in the seed.
-        wi_list = list(packed.static_wi)
-        able_list = list(packed.static_able)
-        other_list = list(packed.static_other)
-        kinds_list = [row[:] for row in packed.static_kinds]
-        static_mode = True
-
-    # Per-SM bound methods for the scalar tier's memory/HSU paths — one
-    # list index instead of three attribute hops per event.
+    # Per-SM bound methods for the memory/HSU paths — one list index
+    # instead of three attribute hops per event.
     l1_fetch = [sm.l1.access_lines for sm in sms]
     hsu_exec = [sm.rt_unit.execute_packed for sm in sms]
 
     heap = scheduler._heap
     push = scheduler.push
     replace = scheduler.replace
+    heappop = heapq.heappop
     heapreplace = heapq.heapreplace
-    # Policy code for the singleton chain's inlined heapreplace entries
+    # Policy code for the pure chain's inlined heapreplace entries
     # (-1 = unknown policy, fall back to the scheduler.replace method).
     pol = scheduler.policy_code if type(scheduler) in _KNOWN_SCHEDULERS \
         else -1
     finish = 0
     clock = 0
     events = 0
+    slow = 0
     idle = 0
-    _i8 = np.int64
 
     while heap:
         top = heap[0]
@@ -222,149 +146,55 @@ def run_batched(sim) -> SimStats:
         w0 = top[-2]
         p0 = top[-1]
         gi0 = starts[w0] + p0
+        a = attrs[gi0]
 
-        if pure_ok[gi0]:
-            if drain_enabled:
-                # Tier 1: compiled multi-horizon drain over every queued
-                # event.  Stops (clock untouched) at the first policy-min
-                # non-pure event; processes >= 1 event (the pure top).
-                ev_ready, ev_windex, ev_pos, ev_seq = scheduler.export_soa()
-                pb_np = np.asarray(port_busy, dtype=_i8)
-                clock, idle, ran, last_seq = backend.engine_drain(
-                    ev_ready, ev_windex, ev_pos, ev_seq,
-                    packed.starts_np, packed.pure_np, packed.hold_np,
-                    packed.off_np, packed.kind_np, packed.repeat_np,
-                    packed.able_np, warp_port_np, warp_sm_np, pb_np,
-                    kinds_np, wi_np, able_np, other_np,
-                    scheduler.policy_code, clock, idle,
-                    getattr(scheduler, "_seq", 0),
-                )
-                events += ran
-                port_busy[:] = pb_np.tolist()
-                scheduler.rebuild_soa(
-                    ev_ready, ev_windex, ev_pos, ev_seq, last_seq
-                )
-                heap = scheduler._heap
-                continue
-            if r0 >= clock:
-                # Tier 2: pure events at the current horizon.  Events due
-                # *before* the clock (deferred admissions) fall through to
-                # the scalar tier — their completions may land at or
-                # before the clock, so they cannot batch.
-                if r0 > clock:
-                    idle += r0 - clock - 1
-                    clock = r0
-                m = len(heap)
-                if not (
-                    m >= ADVANCE_THRESHOLD and heap[m >> 1][0] == clock
-                ):
-                    # Singleton chain — the steady-state shape (a
-                    # horizon rarely holds more events than issue
-                    # ports).  Each pure top is processed in place and
-                    # swapped for its successor in ONE heap sift
-                    # (``heapreplace``), instead of a pop+push pair.
-                    # Safe unconditionally: a pure event's completion is
-                    # strictly later than the clock (``off >= 1``), so
-                    # the successor can never precede any other
-                    # same-horizon event in policy order.
-                    w = w0
-                    p = p0
-                    a = attrs[gi0]
-                    while True:
-                        h, o = a
-                        pp = warp_port[w]
-                        b = port_busy[pp]
-                        s = b if b > clock else clock
-                        port_busy[pp] = s + h
-                        done = s + o
-                        events += 1
-                        p += 1
-                        # scheduler.replace with the entry built inline
-                        # (policy layouts from scheduler.py) — the method
-                        # call is measurable at one call per event.
-                        if pol == 0:
-                            heapreplace(heap, (done, w, done, w, p))
-                        elif pol == 2:
-                            heapreplace(heap, (done, p, w, done, w, p))
-                        elif pol == 1:
-                            seq = scheduler._seq + 1
-                            scheduler._seq = seq
-                            heapreplace(heap, (done, seq, done, w, p))
-                        else:
-                            replace(done, w, p)
-                        top = heap[0]
-                        if top[-3] != clock:
-                            break
-                        w = top[-2]
-                        p = top[-1]
-                        a = attrs[starts[w] + p]
-                        if a is None:  # non-pure successor: scalar tier
-                            break
-                    continue
-                # Mass horizon (an admission wave): collect the whole
-                # batch, then issue it in one ``engine_advance`` call.
-                # The midpoint probe above is O(1) and only risks
-                # routing a large horizon through the singleton chain
-                # (identical semantics, just unbatched).
-                batch = []
-                while heap:
-                    top = heap[0]
-                    if top[-3] != clock:
-                        break
-                    w = top[-2]
-                    p = top[-1]
-                    gi = starts[w] + p
-                    if not pure_ok[gi]:
-                        break
-                    heapq.heappop(heap)
-                    batch.append((w, p, gi))
-                n = len(batch)
-                events += n
-                if n >= ADVANCE_THRESHOLD:
-                    if warp_port_np is None:
-                        # First large horizon: build the gather sources
-                        # (already built when the drain tier is on).
-                        packed.ensure_arrays()
-                        warp_port_np = np.asarray(warp_port, dtype=_i8)
-                        warp_sm_np = np.asarray(warp_sm, dtype=_i8)
-                    gi_np = np.fromiter((b[2] for b in batch), _i8, n)
-                    w_np = np.fromiter((b[0] for b in batch), _i8, n)
-                    ready_np = np.full(n, clock, dtype=_i8)
-                    port_np = warp_port_np[w_np]
-                    hold_np = packed.hold_np[gi_np]
-                    off_np = packed.off_np[gi_np]
-                    pb_np = np.asarray(port_busy, dtype=_i8)
-                    issue_np, done_np = backend.engine_advance(
-                        ready_np, port_np, hold_np, off_np, pb_np
-                    )
-                    port_busy[:] = pb_np.tolist()
-                    # No counter attribution: pure-event counters are
-                    # seeded statically (see the accumulator init).
-                    # Successor re-queue in scalar pop order (LRR's seq
-                    # assignment depends on it).
-                    pos_np = np.fromiter((b[1] for b in batch), _i8, n)
-                    pos_np += 1
-                    scheduler.push_batch(
-                        done_np.tolist(), w_np.tolist(), pos_np.tolist()
-                    )
+        if a is not None and r0 >= clock:
+            # Pure chain: each pure top is processed in place and swapped
+            # for its successor in ONE heap sift (``heapreplace``).
+            if r0 > clock:
+                idle += r0 - clock - 1
+                clock = r0
+            w = w0
+            p = p0
+            while True:
+                h, o = a
+                pp = warp_port[w]
+                b = port_busy[pp]
+                s = b if b > clock else clock
+                port_busy[pp] = s + h
+                done = s + o
+                events += 1
+                p += 1
+                # scheduler.replace with the entry built inline (policy
+                # layouts from scheduler.py) — the method call is
+                # measurable at one call per event.
+                if pol == 0:
+                    heapreplace(heap, (done, w, done, w, p))
+                elif pol == 2:
+                    heapreplace(heap, (done, p, w, done, w, p))
+                elif pol == 1:
+                    seq = scheduler._seq + 1
+                    scheduler._seq = seq
+                    heapreplace(heap, (done, seq, done, w, p))
                 else:
-                    for w, p, gi in batch:
-                        h, o = attrs[gi]
-                        pp = warp_port[w]
-                        b = port_busy[pp]
-                        s = b if b > clock else clock
-                        port_busy[pp] = s + h
-                        push(s + o, w, p + 1)
-                continue
+                    replace(done, w, p)
+                top = heap[0]
+                if top[-3] != clock:
+                    break
+                w = top[-2]
+                p = top[-1]
+                a = attrs[starts[w] + p]
+                if a is None:  # non-pure successor: per-instruction path
+                    break
+            continue
 
-        # Tier 3: scalar path — memory/HSU instructions, pure finals,
-        # and any event due before the clock.  Identical semantics to
-        # SmCore.issue plus the scalar loop's retirement block.
+        # Per-instruction path: SmCore.issue's semantics plus retirement.
         if r0 > clock:
             idle += r0 - clock - 1
             clock = r0
-        heapq.heappop(heap)
+        heappop(heap)
         events += 1
+        slow += 1
         smi = warp_sm[w0]
         pp = warp_port[w0]
         kc = kind[gi0]
@@ -381,9 +211,7 @@ def run_batched(sim) -> SimStats:
         else:
             port_busy[pp] = s + 1
             done = hsu_exec[smi](lines[gi0], hsubusy[gi0], s)
-        if not static_mode or attrs[gi0] is None:
-            # Pure events are pre-attributed in the static seed; in
-            # static mode only non-pure events attribute here.
+        if a is None:
             kinds_list[smi][kc] += kcnt[gi0]
             wi_list[smi] += repeat[gi0]
             if able[gi0]:
@@ -404,26 +232,26 @@ def run_batched(sim) -> SimStats:
                 tracer.record(occupancy_channel, done, inflight)
             if deferred[smi]:
                 successor = deferred[smi].pop(0)
-                start = heapq.heappop(sm.retire_heap)
+                start = heappop(sm.retire_heap)
                 push(start, successor, 0)
                 inflight += 1
                 if occupancy_channel is not None:
                     tracer.record(occupancy_channel, start, inflight)
 
-    # Flush the SoA accumulators into the SmCore slots (both Python-tier
-    # and drain-tier contributions), mirror the port state back into the
-    # sub-core Timelines, then publish as the scalar loop does.
+    # Flush the accumulators into the SmCore slots, mirror the port state
+    # back into the sub-core Timelines, then publish.
     sim._m_cycles.set(finish)
     sim._m_warps.set(num_warps)
     sim._m_events.set(events)
+    sim._m_slow_events.set(slow)
     sim._m_idle_skipped.set(idle)
     for smi, sm in enumerate(sms):
-        sm.sched_wi += wi_list[smi] + int(wi_np[smi])
-        sm.sched_able += able_list[smi] + int(able_np[smi])
-        sm.sched_other += other_list[smi] + int(other_np[smi])
+        sm.sched_wi += wi_list[smi]
+        sm.sched_able += able_list[smi]
+        sm.sched_other += other_list[smi]
         kinds = kinds_list[smi]
         for code, name in enumerate(_KIND_NAMES):
-            sm.sched_kinds[name] += kinds[code] + int(kinds_np[smi, code])
+            sm.sched_kinds[name] += kinds[code]
         base = smi * subcores_per_sm
         for subcore in range(subcores_per_sm):
             sm.subcores[subcore].busy_until = port_busy[base + subcore]

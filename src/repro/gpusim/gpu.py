@@ -32,17 +32,16 @@ component diagram.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.errors import TraceError
 from repro.gpusim.config import GpuConfig
+from repro.gpusim.engine import run_events
 from repro.kernels import get_backend
 from repro.gpusim.memory import MemorySystem, build_memory
 from repro.gpusim.observability import MetricsRegistry, TimelineTracer
-from repro.gpusim.observability.tracer import MODE_LAST
 from repro.gpusim.resource import Timeline
 from repro.gpusim.rtunit import RtUnit
 from repro.gpusim.scheduler import build_scheduler
+from repro.gpusim.soa import pack_kernel
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import (
     KIND_ALU,
@@ -251,21 +250,12 @@ class GpuSimulator:
         ]
         self.scheduler = build_scheduler(config.scheduler)
         self._register_metrics()
-        # Engine resolution and trace lowering happen at ingest: the
-        # batched engine's SoA columns are a pure function of (trace,
-        # config, backend), so packing here keeps :meth:`run` free of
-        # lowering cost (and out of the benchmarked simulate phase,
-        # mirroring how trace *generation* is not simulation either).
-        from repro.gpusim.engine import resolve_engine_name
-
-        self.engine = resolve_engine_name(config)
-        self._packed = None
-        if self.engine == "batched":
-            from repro.gpusim.soa import pack_kernel
-
-            self._packed = pack_kernel(
-                kernel, config, get_backend(config=config)
-            )
+        # Trace lowering happens at ingest: the SoA columns are a pure
+        # function of (trace, config, backend), so packing here keeps
+        # :meth:`run` free of lowering cost (and out of the benchmarked
+        # simulate phase, mirroring how trace *generation* is not
+        # simulation either).
+        self._packed = pack_kernel(kernel, config, get_backend(config=config))
 
     @property
     def l2(self):
@@ -311,6 +301,13 @@ class GpuSimulator:
             unit="cycles",
             doc="Idle cycles the event engine jumped over (cycles a "
             "per-cycle stepper would have ticked with nothing to issue).",
+        )
+        self._m_slow_events = engine.gauge(
+            "slow_path_events",
+            unit="events",
+            doc="Events the engine's per-instruction path handled "
+            "(memory/HSU instructions, retirements, late pure events); "
+            "the pure-compute chain handled the rest of gpu/engine/events.",
         )
         gpu.gauge(
             "scheduler_policy",
@@ -397,123 +394,9 @@ class GpuSimulator:
         return self.scheduler.next_event_cycle()
 
     def run(self) -> SimStats:
-        """Run the simulation on the selected event engine.
-
-        ``GpuConfig.engine`` (overridable via ``REPRO_SIM_ENGINE``,
-        resolved once at construction) selects between the warp-batched
-        SoA engine (:func:`repro.gpusim.engine.run_batched`, the default)
-        and the scalar per-instruction loop (:meth:`_run_scalar`).  The
-        two are bit-identical by contract — the scalar loop is the
-        executable reference the batched engine is property-tested
-        against — so the ``engine`` field is excluded from
-        ``stable_hash`` exactly like ``kernel_backend``.
-        """
-        from repro.gpusim.engine import run_batched
-
-        if self.engine == "batched":
-            return run_batched(self)
-        return self._run_scalar()
-
-    def _run_scalar(self) -> SimStats:
-        """Skip-to-next-event engine, one event at a time.
-
-        The clock advances directly to the scheduler's event horizon
-        (:meth:`next_event_cycle`) instead of ticking every cycle; all
-        events due at the current clock drain in policy order before the
-        next jump.  Two invariants make this exact: every scheduler
-        policy key leads with the ready cycle (the heap top is always the
-        minimum-ready event), and issuing an instruction can only push
-        events at ``done >= issue >= clock`` (time never flows backward).
-        """
-        config = self.config
-        tracer = self.tracer
-        scheduler = self.scheduler
-        occupancy_channel = None
-        if tracer is not None:
-            occupancy_channel = tracer.channel(
-                "gpu/warps_inflight", mode=MODE_LAST, unit="warps"
-            )
-        num_sms = config.num_sms
-
-        # Static warp placement: round-robin over SMs, then sub-cores.
-        placements: list[tuple[int, int]] = []
-        for index in range(self.kernel.num_warps):
-            sm = index % num_sms
-            subcore = (index // num_sms) % config.subcores_per_sm
-            placements.append((sm, subcore))
-
-        # Wave admission: a warp starts at cycle 0 if a residency slot is
-        # free, else when the earliest resident warp on its SM retires.
-        deferred: list[list[int]] = [[] for _ in range(num_sms)]
-        for index in range(self.kernel.num_warps):
-            sm_index, _ = placements[index]
-            sm = self.sms[sm_index]
-            if sm.resident < config.max_warps_per_sm:
-                sm.resident += 1
-                scheduler.push(0, index, 0)
-            else:
-                deferred[sm_index].append(index)
-
-        inflight = len(scheduler)
-        if occupancy_channel is not None:
-            tracer.record(occupancy_channel, 0, inflight)
-
-        warps = self.kernel.warps
-        sms = self.sms
-        finish = 0
-        clock = 0
-        events = 0
-        idle_skipped = 0
-        horizon = scheduler.next_event_cycle()
-        while horizon is not None:
-            if horizon > clock:
-                # Jump the clock straight to the next issueable warp; a
-                # per-cycle stepper would have ticked the gap idly.
-                idle_skipped += horizon - clock - 1
-                clock = horizon
-            # Drain every event due now, in policy order.  New events
-            # pushed by an issue land at done >= clock, so a push due at
-            # the current clock is drained in this same pass — identical
-            # to popping the heap to exhaustion.
-            ready, windex, position = scheduler.pop()
-            events += 1
-            warp = warps[windex]
-            instr = warp.instructions[position]
-            sm_index, subcore = placements[windex]
-            sm = sms[sm_index]
-
-            done = sm.issue(instr, subcore, ready)
-
-            position += 1
-            if position < warp.length:
-                scheduler.push(done, windex, position)
-            else:
-                if done > finish:
-                    finish = done
-                heapq.heappush(sm.retire_heap, done)
-                inflight -= 1
-                if occupancy_channel is not None:
-                    tracer.record(occupancy_channel, done, inflight)
-                if deferred[sm_index]:
-                    successor = deferred[sm_index].pop(0)
-                    start = heapq.heappop(sm.retire_heap)
-                    scheduler.push(start, successor, 0)
-                    inflight += 1
-                    if occupancy_channel is not None:
-                        tracer.record(occupancy_channel, start, inflight)
-            horizon = scheduler.next_event_cycle()
-
-        self._m_cycles.set(finish)
-        self._m_warps.set(self.kernel.num_warps)
-        self._m_events.set(events)
-        self._m_idle_skipped.set(idle_skipped)
-        for sm in self.sms:
-            sm.publish()
-        self.memory.finish()
-
-        stats = SimStats.from_registry(self.registry)
-        stats.check_dram_consistency()
-        return stats
+        """Run the simulation on the event loop
+        (:func:`repro.gpusim.engine.run_events`)."""
+        return run_events(self)
 
 
 def simulate(

@@ -55,14 +55,13 @@ def config_to_dict(config) -> dict[str, object]:
 def config_hash(config) -> str:
     """Stable SHA-256 over the sorted JSON form of a configuration.
 
-    ``kernel_backend`` and ``engine`` are excluded, mirroring
+    ``kernel_backend`` is excluded, mirroring
     :meth:`repro.gpusim.config.GpuConfig.stable_hash`: kernel backends
-    and event engines are bit-identical by contract, so manifests
-    produced under any combination must pin the same ``config_sha``.
+    are bit-identical by contract, so manifests produced under either
+    backend must pin the same ``config_sha``.
     """
     fields = config_to_dict(config)
     fields.pop("kernel_backend", None)
-    fields.pop("engine", None)
     blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -33,7 +33,7 @@ def hsu_coalesced_lines(instr: WarpInstr, line_bytes: int) -> list[int]:
 
     Duplicate lines across threads merge into one request in the memory
     access FIFO — the CISC coalescing behind Fig. 12.  Module-level so the
-    batched engine's trace packer can precompute the set once at ingest.
+    event loop's trace packer can precompute the set once at ingest.
     """
     total_bytes = max(1, instr.beats * instr.bytes_per_thread)
     lines = set()
@@ -142,7 +142,7 @@ class RtUnit:
 
         ``lines`` is the sorted coalesced line list
         (:meth:`coalesced_lines`), ``busy`` the datapath occupancy
-        (``active * beats``).  The batched engine's HSU path: identical
+        (``active * beats``).  The event loop's HSU path: identical
         semantics to :meth:`execute`, minus the per-call set rebuild.
         """
         # Warp buffer admission: wait for a free entry when full.

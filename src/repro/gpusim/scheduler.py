@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.gpusim.config import SCHEDULER_POLICIES
 
@@ -60,8 +58,9 @@ class WarpScheduler:
 
     #: Policy name, matching :data:`repro.gpusim.config.SCHEDULER_POLICIES`.
     name = ""
-    #: Integer policy id for the compiled event-engine kernels
-    #: (``engine_drain``): 0 = gto, 1 = lrr, 2 = oldest.
+    #: Integer policy id the event loop's pure chain dispatches on when it
+    #: builds heap entries inline (:mod:`repro.gpusim.engine`):
+    #: 0 = gto, 1 = lrr, 2 = oldest.
     policy_code = -1
 
     def __init__(self) -> None:
@@ -77,27 +76,6 @@ class WarpScheduler:
             (*self._key(ready, windex, position), ready, windex, position),
         )
 
-    def push_batch(
-        self,
-        ready: list[int],
-        windex: list[int],
-        position: list[int],
-    ) -> None:
-        """Queue many events at once (the vectorized advance tier's
-        successor re-queue).  Equivalent to :meth:`push` per event in
-        list order — heap *contents* after a bulk extend+heapify match a
-        push sequence exactly, and since every provided policy's keys are
-        unique, pop order (the only observable) is identical.  Policies
-        with per-push tiebreak state override this to advance it in list
-        order, so callers must pass events in the order the scalar loop
-        would have pushed them.
-        """
-        self._heap.extend(
-            (*self._key(r, w, p), r, w, p)
-            for r, w, p in zip(ready, windex, position)
-        )
-        heapq.heapify(self._heap)
-
     def pop(self) -> tuple[int, int, int]:
         """Next ``(ready, windex, position)`` event in policy order."""
         entry = heapq.heappop(self._heap)
@@ -107,8 +85,10 @@ class WarpScheduler:
         """Drop the policy-min event and queue a new one, in one sift.
 
         Equivalent to :meth:`pop` (discarding the result) followed by
-        :meth:`push` — the batched engine's singleton fast path, where
-        the popped event's successor is pushed immediately.
+        :meth:`push` — the event loop's pure chain, where the popped
+        event's successor is pushed immediately.  (The chain builds the
+        entries of the provided policies inline; this method serves
+        policies it does not know.)
         ``heapreplace`` does both in a single sift-down; the internal
         array layout can differ from a pop+push sequence but pop order
         (the only observable — keys are unique) is identical.
@@ -133,56 +113,6 @@ class WarpScheduler:
     def __len__(self) -> int:
         return len(self._heap)
 
-    # -- SoA marshaling for the batched engine's drain kernel -------------
-
-    def export_soa(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every queued event as ``(ready, windex, position, seq)`` int64
-        arrays (heap order, which the drain kernel ignores — it selects
-        the policy minimum itself).  ``seq`` is the policy tiebreak state
-        carried per event; policies without one export zeros.
-        """
-        n = len(self._heap)
-        ready = np.empty(n, np.int64)
-        windex = np.empty(n, np.int64)
-        position = np.empty(n, np.int64)
-        seq = np.zeros(n, np.int64)
-        for i, entry in enumerate(self._heap):
-            ready[i] = entry[-3]
-            windex[i] = entry[-2]
-            position[i] = entry[-1]
-        self._fill_seq(seq)
-        return ready, windex, position, seq
-
-    def _fill_seq(self, seq: np.ndarray) -> None:
-        """Export per-event tiebreak state (policies with none: zeros)."""
-
-    def _entry(self, ready: int, windex: int, position: int, seq: int) -> tuple:
-        """One heap entry from drained SoA state (no side effects, unlike
-        :meth:`_key`, so rebuilds don't disturb policy counters)."""
-        return (*self._key(ready, windex, position), ready, windex, position)
-
-    def rebuild_soa(
-        self,
-        ready: np.ndarray,
-        windex: np.ndarray,
-        position: np.ndarray,
-        seq: np.ndarray,
-        last_seq: int = 0,
-    ) -> None:
-        """Replace the queue with the drain kernel's updated event set.
-
-        ``last_seq`` restores policy tiebreak state advanced inside the
-        kernel (ignored by policies without any).
-        """
-        entry = self._entry
-        self._heap = [
-            entry(int(ready[i]), int(windex[i]), int(position[i]), int(seq[i]))
-            for i in range(ready.shape[0])
-        ]
-        heapq.heapify(self._heap)
-
 
 class GtoScheduler(WarpScheduler):
     """Greedy-then-oldest (Table III): oldest ready warp first."""
@@ -197,15 +127,6 @@ class GtoScheduler(WarpScheduler):
         # Inline of the base push with _key applied by hand: one push per
         # simulated event makes the method call + tuple splat measurable.
         heapq.heappush(
-            self._heap, (ready, windex, ready, windex, position)
-        )
-
-    def push_batch(self, ready, windex, position) -> None:
-        self._heap.extend(zip(ready, windex, ready, windex, position))
-        heapq.heapify(self._heap)
-
-    def replace(self, ready: int, windex: int, position: int) -> None:
-        heapq.heapreplace(
             self._heap, (ready, windex, ready, windex, position)
         )
 
@@ -234,36 +155,6 @@ class LrrScheduler(WarpScheduler):
             self._heap, (ready, seq, ready, windex, position)
         )
 
-    def push_batch(self, ready, windex, position) -> None:
-        # Sequence numbers advance in list order — the caller passes
-        # events in scalar pop order, so the assignment matches a
-        # push-per-event sequence exactly.
-        seq = self._seq
-        heap = self._heap
-        for i, r in enumerate(ready):
-            seq += 1
-            heap.append((r, seq, r, windex[i], position[i]))
-        self._seq = seq
-        heapq.heapify(heap)
-
-    def replace(self, ready: int, windex: int, position: int) -> None:
-        seq = self._seq + 1
-        self._seq = seq
-        heapq.heapreplace(
-            self._heap, (ready, seq, ready, windex, position)
-        )
-
-    def _fill_seq(self, seq: np.ndarray) -> None:
-        for i, entry in enumerate(self._heap):
-            seq[i] = entry[1]
-
-    def _entry(self, ready: int, windex: int, position: int, seq: int) -> tuple:
-        return (ready, seq, ready, windex, position)
-
-    def rebuild_soa(self, ready, windex, position, seq, last_seq: int = 0):
-        super().rebuild_soa(ready, windex, position, seq, last_seq)
-        self._seq = last_seq
-
 
 class OldestFirstScheduler(WarpScheduler):
     """Oldest-instruction-first: least trace progress wins the tie."""
@@ -277,17 +168,6 @@ class OldestFirstScheduler(WarpScheduler):
     def push(self, ready: int, windex: int, position: int) -> None:
         # Inline of the base push with _key applied by hand (hot path).
         heapq.heappush(
-            self._heap, (ready, position, windex, ready, windex, position)
-        )
-
-    def push_batch(self, ready, windex, position) -> None:
-        self._heap.extend(
-            zip(ready, position, windex, ready, windex, position)
-        )
-        heapq.heapify(self._heap)
-
-    def replace(self, ready: int, windex: int, position: int) -> None:
-        heapq.heapreplace(
             self._heap, (ready, position, windex, ready, windex, position)
         )
 

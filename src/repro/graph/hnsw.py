@@ -107,6 +107,29 @@ def angular_error_bound(dim: int) -> float:
     return 2.0 * (dim + 4) * 2.0**-24
 
 
+def _distance_bound(points: np.ndarray, metric: str) -> float:
+    """An upper bound, in float64, on any ``metric`` distance between rows
+    of ``points``.
+
+    Each coordinate difference is at most ``span = 2 * max|x|``, so a
+    squared-L2 distance is at most ``dim * span**2``; the same bound
+    covers angular's dot products and norm products (each at most
+    ``dim * max|x|**2``).  L1 sums ``dim`` differences and L-inf takes one.
+    """
+    span = 2.0 * float(np.abs(points).max())
+    if metric == METRIC_LINF:
+        return span
+    if metric == METRIC_L1:
+        return points.shape[1] * span
+    return points.shape[1] * span * span
+
+
+#: :func:`build_hnsw` refuses points whose :func:`_distance_bound` exceeds
+#: this: half of float32's largest finite value, so the rounding of the
+#: float32 partial sums (relative error far below 1) cannot reach inf.
+_DISTANCE_LIMIT = float(np.finfo(np.float32).max) / 2
+
+
 def _angular(dot: np.ndarray, norms: np.ndarray, q_norm) -> np.ndarray:
     """``1 - dot / (norms * q_norm)``, zero denominators read as 1.
 
@@ -387,6 +410,11 @@ def build_hnsw(
         raise BuildError("ef_construction must be >= m")
     if not np.isfinite(points).all():
         raise BuildError("points must be finite")
+    if _distance_bound(points, metric) > _DISTANCE_LIMIT:
+        raise BuildError(
+            f"{metric} distances over these points can overflow float32 "
+            f"(max |x| = {float(np.abs(points).max()):.3g})"
+        )
     helper = GraphDistances(points, metric)
 
     count = points.shape[0]

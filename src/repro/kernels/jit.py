@@ -513,90 +513,6 @@ def _bvh_radius_query_body(
     )
 
 
-@_njit
-def _engine_advance_body(ready, port, hold, off, port_busy, issue, done):
-    # Sequential per-port grant chain — the recurrence the reference
-    # kernel closes with a cumulative-sum/maximum-accumulate identity.
-    n = ready.shape[0]
-    for i in range(n):
-        p = port[i]
-        r = ready[i]
-        b = port_busy[p]
-        s = b if b > r else r
-        port_busy[p] = s + hold[i]
-        issue[i] = s
-        done[i] = s + off[i]
-
-
-@_njit
-def _engine_drain_body(
-    ev_ready, ev_windex, ev_pos, ev_seq, starts, pure_ok, hold, off,
-    kindcode, repeat, able, warp_port, warp_sm, port_busy,
-    kinds_acc, wi_acc, able_acc, other_acc, policy_code, clock, idle, seq,
-):
-    n = ev_ready.shape[0]
-    events = 0
-    while True:
-        best = 0
-        br = ev_ready[0]
-        if policy_code == 0:
-            bk1 = ev_windex[0]
-            bk2 = 0
-        elif policy_code == 1:
-            bk1 = ev_seq[0]
-            bk2 = 0
-        else:
-            bk1 = ev_pos[0]
-            bk2 = ev_windex[0]
-        for i in range(1, n):
-            r = ev_ready[i]
-            if policy_code == 0:
-                k1 = ev_windex[i]
-                k2 = 0
-            elif policy_code == 1:
-                k1 = ev_seq[i]
-                k2 = 0
-            else:
-                k1 = ev_pos[i]
-                k2 = ev_windex[i]
-            if r < br or (
-                r == br and (k1 < bk1 or (k1 == bk1 and k2 < bk2))
-            ):
-                best = i
-                br = r
-                bk1 = k1
-                bk2 = k2
-        w = ev_windex[best]
-        gi = starts[w] + ev_pos[best]
-        if pure_ok[gi] == 0:
-            break
-        r = ev_ready[best]
-        if r > clock:
-            idle += r - clock - 1
-            clock = r
-        events += 1
-        p = warp_port[w]
-        b = port_busy[p]
-        s = b if b > r else r
-        port_busy[p] = s + hold[gi]
-        done = s + off[gi]
-        smi = warp_sm[w]
-        rep = repeat[gi]
-        kinds_acc[smi, kindcode[gi]] += rep
-        wi_acc[smi] += rep
-        busy = done - s + 1
-        if able[gi] != 0:
-            able_acc[smi] += busy
-        else:
-            other_acc[smi] += busy
-        ev_ready[best] = done
-        ev_pos[best] += 1
-        if policy_code == 1:
-            seq += 1
-            ev_seq[best] = seq
-    return clock, idle, events, seq
-
-
 # ---------------------------------------------------------------------------
 # backend class
 # ---------------------------------------------------------------------------
@@ -606,12 +522,6 @@ class JitBackend(ReferenceBackend):
     """Compiled kernels, self-verified against the reference at init."""
 
     name = "jit"
-
-    #: The batched event engine routes quiescent stretches through the
-    #: compiled :meth:`engine_drain` loop.  (Safe even when a probe
-    #: rebinds the kernel to the reference implementation — the drain is
-    #: bit-identical either way, just slower.)
-    engine_drain_enabled = True
 
     def __init__(self) -> None:
         self.verified: dict[str, bool] = {}
@@ -774,27 +684,6 @@ class JitBackend(ReferenceBackend):
             int(leaf_visits), int(max_depth),
         )
         return cand_starts, cand_prims, d2, counters
-
-    def engine_advance(self, ready, port, hold, off, port_busy):
-        issue = np.empty_like(ready)
-        done = np.empty_like(ready)
-        _engine_advance_body(ready, port, hold, off, port_busy, issue, done)
-        return issue, done
-
-    def engine_drain(
-        self,
-        ev_ready, ev_windex, ev_pos, ev_seq, starts, pure_ok, hold, off,
-        kindcode, repeat, able, warp_port, warp_sm, port_busy,
-        kinds_acc, wi_acc, able_acc, other_acc,
-        policy_code, clock, idle, seq,
-    ):
-        out = _engine_drain_body(
-            ev_ready, ev_windex, ev_pos, ev_seq, starts, pure_ok, hold,
-            off, kindcode, repeat, able, warp_port, warp_sm, port_busy,
-            kinds_acc, wi_acc, able_acc, other_acc,
-            policy_code, clock, idle, seq,
-        )
-        return int(out[0]), int(out[1]), int(out[2]), int(out[3])
 
 
 # ---------------------------------------------------------------------------
@@ -1025,61 +914,6 @@ def _probe_bvh_radius_query(backend):
     return tuple(outs)
 
 
-def _probe_engine_advance(backend):
-    rng = _probe_rng()
-    outs = []
-    for n, ports in ((1, 1), (7, 3), (40, 8)):
-        ready = rng.integers(0, 50, size=n).astype(_INT)
-        port = rng.integers(0, ports, size=n).astype(_INT)
-        hold = rng.integers(1, 5, size=n).astype(_INT)
-        off = rng.integers(3, 30, size=n).astype(_INT)
-        port_busy = rng.integers(0, 40, size=ports).astype(_INT)
-        issue, done = backend.engine_advance(ready, port, hold, off, port_busy)
-        outs.append((issue, done, port_busy.copy()))
-    return tuple(outs)
-
-
-def _probe_engine_drain(backend):
-    rng = _probe_rng()
-    outs = []
-    for policy_code in (0, 1, 2):
-        warps = 6
-        length = 8
-        starts = (np.arange(warps + 1) * length).astype(_INT)
-        total = warps * length
-        pure_ok = (rng.random(total) < 0.8).astype(_INT)
-        pure_ok[length - 1 :: length] = 0  # final instructions are special
-        hold = rng.integers(1, 4, size=total).astype(_INT)
-        off = rng.integers(3, 25, size=total).astype(_INT)
-        kindcode = rng.integers(0, 3, size=total).astype(_INT)
-        repeat = rng.integers(1, 3, size=total).astype(_INT)
-        able = rng.integers(0, 2, size=total).astype(_INT)
-        warp_port = rng.integers(0, 4, size=warps).astype(_INT)
-        warp_sm = rng.integers(0, 2, size=warps).astype(_INT)
-        ev_ready = rng.integers(0, 30, size=warps).astype(_INT)
-        ev_windex = np.arange(warps, dtype=_INT)
-        ev_pos = rng.integers(0, 3, size=warps).astype(_INT)
-        ev_seq = rng.permutation(warps).astype(_INT)
-        port_busy = rng.integers(0, 20, size=4).astype(_INT)
-        kinds_acc = np.zeros((2, 5), dtype=_INT)
-        wi_acc = np.zeros(2, dtype=_INT)
-        able_acc = np.zeros(2, dtype=_INT)
-        other_acc = np.zeros(2, dtype=_INT)
-        result = backend.engine_drain(
-            ev_ready, ev_windex, ev_pos, ev_seq, starts, pure_ok, hold,
-            off, kindcode, repeat, able, warp_port, warp_sm, port_busy,
-            kinds_acc, wi_acc, able_acc, other_acc,
-            policy_code, 0, 0, warps,
-        )
-        outs.append(
-            result
-            + (ev_ready.copy(), ev_pos.copy(), ev_seq.copy(),
-               port_busy.copy(), kinds_acc.copy(), wi_acc.copy(),
-               able_acc.copy(), other_acc.copy())
-        )
-    return tuple(outs)
-
-
 #: kernel name -> single-kernel probe; each probe exercises exactly the
 #: one kernel being verified and returns a comparable result tuple.
 _PROBES = {
@@ -1097,8 +931,6 @@ _PROBES = {
     "kd_plane_step": _probe_kd_plane_step,
     "bvh_point_query": _probe_bvh_point_query,
     "bvh_radius_query": _probe_bvh_radius_query,
-    "engine_advance": _probe_engine_advance,
-    "engine_drain": _probe_engine_drain,
 }
 
 

@@ -3,11 +3,12 @@
 The hot kernels of the reproduction — beat-structured HSU distances, BVH
 lockstep-DFS point and radius queries, k-d plane stepping, HNSW
 merged-pool distances, B-tree descent trails, packed-stream warp
-grouping, the simulator's load-coalescing loop, and the event engine's
-``engine_advance``/``engine_drain`` fast paths — are owned by a
-*backend* object rather than inlined at their call sites.  Call sites resolve the active backend
-through :func:`get_backend` and invoke kernels as methods, so a compiled
-implementation can be swapped in under every layer at once.
+grouping, and the simulator's load-coalescing loop — are owned by a
+*backend* object rather than inlined at their call sites.  Call sites
+resolve the active backend through :func:`get_backend` and invoke kernels
+as methods, so a compiled implementation can be swapped in under every
+layer at once.  (The simulator's event loop itself is plain Python over
+packed columns, :mod:`repro.gpusim.engine`; it calls no backend kernel.)
 
 Two backends ship:
 

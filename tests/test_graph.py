@@ -363,9 +363,16 @@ class TestBuildMatchesOracle:
 
     @pytest.mark.parametrize("scale", [1e-21, 1e21])
     def test_uncertified_norms_fall_back(self, scale):
-        # Squares underflow (or overflow) in float32: the error bound does
-        # not hold, so no prune may trust the stored distances.
+        # Squares underflow in float32: the error bound does not hold, so
+        # no prune may trust the stored distances.  Squares that overflow
+        # would make every distance inf or NaN, so the build refuses them.
         points = random_points(150, 8, seed=12) * np.float32(scale)
+        if scale > 1:
+            for metric in (METRIC_ANGULAR, METRIC_EUCLID):
+                with pytest.raises(BuildError, match="overflow"):
+                    build_hnsw(points, m=4, ef_construction=12,
+                               metric=metric, seed=12)
+            return
         with np.errstate(over="ignore", invalid="ignore"):
             helper = GraphDistances(points, METRIC_ANGULAR)
             graph = _check_against_oracle(points, 4, 12, METRIC_ANGULAR, 12)

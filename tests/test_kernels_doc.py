@@ -44,8 +44,6 @@ KERNEL_NAMES = (
     "sorted_membership",
     "warp_group_order",
     "coalesce_lines",
-    "engine_advance",
-    "engine_drain",
 )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReproError
-from repro.search import BTreeKvIndex, KdTreeIndex
+from repro.search import BTreeKvIndex, KdTreeIndex, QuerySpec
 from repro.serving import (
     AdmissionError,
     Batcher,
@@ -400,6 +400,7 @@ class TestQueryService:
         endpoint = Endpoint(
             name="knn_tcp", kind="knn", family="flann", abbr="T",
             index=KdTreeIndex().build(dataset), params={"k": 3},
+            spec=QuerySpec(k=3),
         )
 
         async def main():
